@@ -9,9 +9,9 @@ Two halves, mirroring the chaos benchmark's correctness/speed split:
   for the same flash-crowd cell — and must leave the summary byte-identical:
   a policy that never scales is observationally the legacy system.
 
-* **Dominance claims:** :func:`repro.experiments.autoscale.run_autoscale`
-  re-runs the elastic-fleet study at bench scale and asserts the acceptance
-  criterion: under the diurnal workload on the diurnal spot market, the
+* **Dominance claims:** :func:`repro.experiments.study.run_study` re-runs
+  the elastic-fleet study at bench scale and asserts its named acceptance
+  claim: under the diurnal workload on the diurnal spot market, the
   cost-aware policy strictly dominates the fixed equal-peak-cost fleet on
   (time-integrated cost, SLO violation ratio) — strictly cheaper, no worse
   on violations.
@@ -20,7 +20,8 @@ Two halves, mirroring the chaos benchmark's correctness/speed split:
 import time
 
 from repro.core.system import ClientSource, build_diffserve_system
-from repro.experiments.autoscale import run_autoscale
+from repro.experiments import autoscale
+from repro.experiments.study import run_study
 from repro.workloads import make_workload
 
 #: Autoscaler-armed events/sec may be at most this factor below legacy.
@@ -83,19 +84,20 @@ def test_bench_autoscale(benchmark):
     )
 
     # Dominance claims at bench scale (cached by the runner on repeats).
-    result = run_autoscale()
-    fixed = result.arm("diurnal", "fixed")
-    aware = result.arm("diurnal", "cost-aware")
-    benchmark.extra_info["fixed_cost_a100h"] = round(fixed.cost, 5)
-    benchmark.extra_info["cost_aware_cost_a100h"] = round(aware.cost, 5)
-    benchmark.extra_info["fixed_slo_violation"] = round(fixed.violation, 4)
-    benchmark.extra_info["cost_aware_slo_violation"] = round(aware.violation, 4)
+    result = run_study(autoscale.STUDY)
+    fixed = result.summaries["diurnal/fixed"]
+    aware = result.summaries["diurnal/cost-aware"]
+    benchmark.extra_info["fixed_cost_a100h"] = round(fixed["fleet_cost"], 5)
+    benchmark.extra_info["cost_aware_cost_a100h"] = round(aware["fleet_cost"], 5)
+    benchmark.extra_info["fixed_slo_violation"] = round(fixed["slo_violation_ratio"], 4)
+    benchmark.extra_info["cost_aware_slo_violation"] = round(aware["slo_violation_ratio"], 4)
     # Higher is better for the gate: fractional saving vs. the fixed fleet.
     benchmark.extra_info["gated_cost_aware_saving"] = round(
-        result.savings("diurnal", "cost-aware"), 3
+        autoscale.savings(result.summaries, "diurnal", "cost-aware"), 3
     )
-    assert result.cost_aware_dominates("diurnal"), (
+    assert result.holds("diurnal/cost-aware-dominates"), (
         "cost-aware autoscaling fails to dominate the fixed fleet: "
-        f"cost-aware (cost={aware.cost:.5f}, viol={aware.violation:.4f}) vs "
-        f"fixed (cost={fixed.cost:.5f}, viol={fixed.violation:.4f})"
+        f"cost-aware (cost={aware['fleet_cost']:.5f}, "
+        f"viol={aware['slo_violation_ratio']:.4f}) vs "
+        f"fixed (cost={fixed['fleet_cost']:.5f}, viol={fixed['slo_violation_ratio']:.4f})"
     )

@@ -10,8 +10,8 @@ Two halves, mirroring the contention benchmark's correctness/speed split:
   events/sec is the fair unit — wall time alone would conflate the richer
   event stream with slowdown.
 
-* **Recovery claims:** :func:`repro.experiments.chaos.run_chaos` re-runs the
-  chaos study at bench scale and asserts both acceptance criteria: under the
+* **Recovery claims:** :func:`repro.experiments.study.run_study` re-runs the
+  chaos study at bench scale and asserts both of its named claims: under the
   crash+straggler storm the recovery arm Pareto-dominates the unmitigated
   arm on (SLO violation ratio, p99 latency), and the unmitigated arm still
   degrades gracefully (completes work, accounts losses as drops) rather than
@@ -21,7 +21,8 @@ Two halves, mirroring the contention benchmark's correctness/speed split:
 import time
 
 from repro.core.system import ClientSource, build_diffserve_system
-from repro.experiments.chaos import run_chaos
+from repro.experiments import chaos
+from repro.experiments.study import run_study
 from repro.faults.plan import get_fault_plan
 from repro.workloads import make_workload
 
@@ -83,19 +84,21 @@ def test_bench_chaos(benchmark):
     )
 
     # Recovery claims at bench scale (cached by the runner on repeats).
-    result = run_chaos()
-    recovery = result.arm("recovery")
-    norecovery = result.arm("norecovery")
-    benchmark.extra_info["recovery_slo_violation"] = round(recovery.violation, 4)
-    benchmark.extra_info["norecovery_slo_violation"] = round(norecovery.violation, 4)
-    benchmark.extra_info["recovery_p99"] = round(recovery.p99, 3)
-    benchmark.extra_info["norecovery_p99"] = round(norecovery.p99, 3)
-    assert result.recovery_dominates(), (
+    result = run_study(chaos.STUDY)
+    recovery = result.summaries["recovery"]
+    norecovery = result.summaries["norecovery"]
+    benchmark.extra_info["recovery_slo_violation"] = round(recovery["slo_violation_ratio"], 4)
+    benchmark.extra_info["norecovery_slo_violation"] = round(norecovery["slo_violation_ratio"], 4)
+    benchmark.extra_info["recovery_p99"] = round(recovery["p99_latency"], 3)
+    benchmark.extra_info["norecovery_p99"] = round(norecovery["p99_latency"], 3)
+    assert result.holds("recovery-dominates"), (
         "self-healing recovery fails to dominate under the storm: "
-        f"recovery (viol={recovery.violation:.4f}, p99={recovery.p99:.3f}) vs "
-        f"norecovery (viol={norecovery.violation:.4f}, p99={norecovery.p99:.3f})"
+        f"recovery (viol={recovery['slo_violation_ratio']:.4f}, "
+        f"p99={recovery['p99_latency']:.3f}) vs "
+        f"norecovery (viol={norecovery['slo_violation_ratio']:.4f}, "
+        f"p99={norecovery['p99_latency']:.3f})"
     )
-    assert result.degrades_gracefully(), (
+    assert result.holds("degrades-gracefully"), (
         "unmitigated storm arm failed to degrade gracefully "
         "(expected completed > 0 and dropped > 0)"
     )

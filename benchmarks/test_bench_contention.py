@@ -9,18 +9,19 @@ Two halves, mirroring the shard benchmark's correctness/speed split:
   events (transfer completions, egress deliveries), so events/sec is the
   fair unit — wall time alone would conflate model richness with slowdown.
 
-* **Planning claims:** :func:`repro.experiments.contention.run_contention`
-  re-runs the contention experiment at bench scale and asserts both paper
-  claims: reload-aware plans Pareto-dominate reload-oblivious plans on the
-  SLO plane under flash-crowd replanning when checkpoints cannot co-reside,
-  and co-placement pinning neutralizes reload costs when they can.
+* **Planning claims:** :func:`repro.experiments.study.run_study` re-runs the
+  contention study at bench scale and asserts both of its named claims:
+  reload-aware plans Pareto-dominate reload-oblivious plans on the SLO plane
+  under flash-crowd replanning when checkpoints cannot co-reside, and
+  co-placement pinning neutralizes reload costs when they can.
 """
 
 import time
 
 from repro.core.config import ResourceConfig
 from repro.core.system import ClientSource, build_diffserve_system
-from repro.experiments.contention import run_contention
+from repro.experiments import contention
+from repro.experiments.study import run_study
 from repro.workloads import make_workload
 
 #: Resourced events/sec may be at most this factor below legacy events/sec.
@@ -78,16 +79,18 @@ def test_bench_contention(benchmark):
     )
 
     # Planning claims at bench scale (cached by the runner on repeats).
-    result = run_contention()
-    contended = result.arm("contended", "aware")
-    oblivious = result.arm("contended", "oblivious")
-    benchmark.extra_info["aware_slo_violation"] = round(contended.violation, 4)
-    benchmark.extra_info["oblivious_slo_violation"] = round(oblivious.violation, 4)
-    assert result.reload_aware_dominates(), (
+    result = run_study(contention.STUDY)
+    contended = result.summaries["contended/aware"]
+    oblivious = result.summaries["contended/oblivious"]
+    benchmark.extra_info["aware_slo_violation"] = round(contended["slo_violation_ratio"], 4)
+    benchmark.extra_info["oblivious_slo_violation"] = round(oblivious["slo_violation_ratio"], 4)
+    assert result.holds("reload-aware-dominates"), (
         "reload-aware plan fails to dominate: "
-        f"aware (viol={contended.violation:.4f}, p99={contended.p99:.3f}) vs "
-        f"oblivious (viol={oblivious.violation:.4f}, p99={oblivious.p99:.3f})"
+        f"aware (viol={contended['slo_violation_ratio']:.4f}, "
+        f"p99={contended['p99_latency']:.3f}) vs "
+        f"oblivious (viol={oblivious['slo_violation_ratio']:.4f}, "
+        f"p99={oblivious['p99_latency']:.3f})"
     )
-    assert result.coplacement_neutralizes(), (
+    assert result.holds("coplacement-neutralizes"), (
         "co-placement pinning no longer neutralizes reloads in the co-fit scenario"
     )

@@ -23,7 +23,8 @@ from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import shared_components
-from repro.experiments.heterogeneity import run_heterogeneity
+from repro.experiments import heterogeneity
+from repro.experiments.study import run_study
 
 #: A ramp wide enough that the optimal plan keeps shifting while staying
 #: feasible on both fleets.
@@ -88,22 +89,28 @@ def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scal
 
 def test_bench_fleet_study_mixed_fleet_matches_or_dominates(benchmark, bench_scale):
     result = benchmark.pedantic(
-        run_heterogeneity, kwargs={"scale": bench_scale}, iterations=1, rounds=1
+        run_study,
+        args=(heterogeneity.STUDY,),
+        kwargs={"scale": bench_scale},
+        iterations=1,
+        rounds=1,
     )
+    summaries = result.summaries
+    workloads = heterogeneity.DEFAULT_WORKLOADS
+    reference = heterogeneity.REFERENCE
     # Equal-cost sanity: every arm's fleet cost is within tolerance of the
     # reference (enforced by resolve_fleets; re-checked on the results).
-    for arms in result.arms.values():
-        ref_cost = arms[result.reference].cost
-        for arm in arms.values():
-            assert abs(arm.cost - ref_cost) / ref_cost <= 0.07
+    for name, summary in summaries.items():
+        ref_cost = summaries[f"{name.partition('/')[0]}/{reference}"]["fleet_cost"]
+        assert abs(summary["fleet_cost"] - ref_cost) / ref_cost <= 0.07
     # The headline: some mixed fleet matches or Pareto-dominates the
     # homogeneous reference on at least one workload.
-    dominated = {kind: result.dominating_mixed_fleets(kind) for kind in result.arms}
-    assert any(winners for winners in dominated.values()), dominated
+    dominated = {kind: heterogeneity.dominating_mixed_fleets(summaries, kind) for kind in workloads}
+    assert any(result.holds(f"{kind}/mixed-dominates") for kind in workloads), dominated
     # And a mixed fleet sits on every workload's (violation, FID) front
     # alongside (or instead of) the reference on the bursty workload.
     assert any(
-        name != result.reference
-        for kind in result.arms
-        for name in result.pareto_front(kind)
+        name != reference
+        for kind in workloads
+        for name in heterogeneity.pareto_front(summaries, kind)
     )

@@ -21,12 +21,10 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import (
-    autoscale,
-    chaos,
-    contention,
     drift_adaptation,
     fig1_motivation,
     fig1_pareto,
@@ -36,12 +34,11 @@ from repro.experiments import (
     fig7_discriminator,
     fig8_allocation_ablation,
     fig9_slo_sensitivity,
-    geo_scale,
-    heterogeneity,
     milp_overhead,
     reuse_study,
 )
 from repro.experiments.harness import ExperimentScale
+from repro.experiments.study import print_study, registry
 
 #: Experiment name -> (description, runner main function).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -56,26 +53,10 @@ EXPERIMENTS: Dict[str, tuple] = {
     "milp": ("Section 4.5 MILP solver overhead", milp_overhead.main),
     "reuse": ("Section 5 reuse study", reuse_study.main),
     "drift": ("Drift adaptation: static vs. online re-planned plans", drift_adaptation.main),
-    "fleet": (
-        "Heterogeneous fleets: homogeneous vs. mixed at equal aggregate cost",
-        heterogeneity.main,
-    ),
-    "geo": (
-        "Geo-scale serving: multi-region topologies through the shard supervisor",
-        geo_scale.main,
-    ),
-    "contention": (
-        "Reload/inference contention: reload-aware vs. reload-oblivious plans",
-        contention.main,
-    ),
-    "chaos": (
-        "Fault injection: self-healing recovery vs. unmitigated faults",
-        chaos.main,
-    ),
-    "autoscale": (
-        "Elastic fleets: fixed vs. reactive vs. cost-aware autoscaling on spot markets",
-        autoscale.main,
-    ),
+    **{
+        name: (study.description, study.main or partial(print_study, study))
+        for name, study in registry().items()
+    },
 }
 
 
@@ -372,61 +353,6 @@ def parse_fleet(text: Optional[str]) -> Optional[Dict[str, int]]:
     return counts
 
 
-def parse_resources(text: Optional[str]):
-    """Parse a ``--resources`` string into a
-    :class:`~repro.core.config.ResourceConfig`.
-
-    Accepts ``default`` (the built-in footprint catalog, reload-aware), or a
-    JSON object mapping variant names to checkpoint sizes in GB, with two
-    optional control keys: ``"reload_aware"`` (bool, default true) and
-    ``"egress_gb_per_image"`` (number, applied to every listed variant).
-    Unlisted variants keep their catalog footprints.  Every failure mode
-    raises :class:`ValueError` with a one-line message naming the bad key
-    (mirroring ``--fleet``).
-    """
-    stripped = (text or "").strip()
-    if not stripped:
-        return None
-    from repro.core.config import ResourceConfig
-
-    if not stripped.startswith(("{", "[")):
-        if stripped == "default":
-            return ResourceConfig.default()
-        if stripped == "oblivious":
-            return ResourceConfig.default(reload_aware=False)
-        raise ValueError(
-            f"--resources must be 'default', 'oblivious' or a JSON object, got {text!r}"
-        )
-    try:
-        decoded = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --resources: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise ValueError("--resources JSON must be an object of variant: GB pairs")
-    reload_aware = decoded.pop("reload_aware", True)
-    if not isinstance(reload_aware, bool):
-        raise ValueError(f"resources key 'reload_aware' must be a boolean, got {reload_aware!r}")
-    egress = decoded.pop("egress_gb_per_image", None)
-    if egress is not None and (isinstance(egress, bool) or not isinstance(egress, (int, float))):
-        raise ValueError(f"resources key 'egress_gb_per_image' must be a number, got {egress!r}")
-    weights: Dict[str, float] = {}
-    for key, value in decoded.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(
-                f"resources variant {key!r}: weights must be a positive number (GB), "
-                f"got {value!r}"
-            )
-        weights[str(key)] = float(value)
-    try:
-        return ResourceConfig.from_weights(
-            weights,
-            reload_aware=reload_aware,
-            egress_gb_per_image=None if egress is None else float(egress),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(str(exc).strip("'\"")) from exc
-
-
 def parse_shards(text: Optional[str]) -> int:
     """Parse a ``--shards`` value: a positive integer or ``auto``.
 
@@ -569,6 +495,8 @@ def parse_grid(
     if resources is not None:
         # Same eager-validation rule: bad variant names / malformed JSON fail
         # the parse, not a grid cell.
+        from repro.core.config import parse_resources
+
         parse_resources(resources)
     if faults is not None:
         # Eager validation: an unknown plan name / malformed JSON / bad fault

@@ -43,6 +43,10 @@ from repro.milp.solution import MILPSolution
 from repro.models.variants import ModelVariant
 from repro.models.zoo import variant_profile
 
+#: Quantile levels of the deferral profile sampled into the candidate
+#: threshold grid (plus the 0 and 1 endpoints).
+THRESHOLD_LEVELS = 21
+
 
 @dataclass
 class AllocationPlan:
@@ -174,7 +178,6 @@ class DiffServeAllocator:
         discriminator_latency: float = 0.01,
         queueing_model: Optional[QueueingModel] = None,
         batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
-        threshold_levels: int = 21,
         over_provision: float = 1.05,
         solver: Optional[BranchAndBoundSolver] = None,
         min_light_workers: int = 1,
@@ -184,8 +187,6 @@ class DiffServeAllocator:
     ) -> None:
         if over_provision < 1.0:
             raise ValueError("over_provision must be >= 1.0")
-        if threshold_levels < 2:
-            raise ValueError("threshold_levels must be >= 2")
         if exhaustive_cutoff < 0:
             raise ValueError("exhaustive_cutoff must be non-negative")
         self.light = light
@@ -219,7 +220,7 @@ class DiffServeAllocator:
         if price_penalty < 0:
             raise ValueError("price_penalty must be non-negative")
         self.price_penalty = price_penalty
-        self.threshold_grid = self._build_threshold_grid(threshold_levels)
+        self.threshold_grid = self._build_threshold_grid()
         self.last_solve_time_s: float = 0.0
         self.solve_times: List[float] = []
         # Warm-start telemetry (read by the re-planner and the benchmarks).
@@ -241,18 +242,18 @@ class DiffServeAllocator:
         self.last_solve_timed_out = False
 
     # ----------------------------------------------------------------- grids
-    def _build_threshold_grid(self, levels: int) -> List[Tuple[float, float]]:
+    def _build_threshold_grid(self) -> List[Tuple[float, float]]:
         """Candidate (threshold, deferral fraction) pairs from the profile."""
-        quantiles = np.linspace(0.0, 1.0, levels)
+        quantiles = np.linspace(0.0, 1.0, THRESHOLD_LEVELS)
         thresholds = {0.0, 1.0}
         for q in quantiles:
             thresholds.add(round(self.deferral_profile.threshold_for_fraction(float(q)), 6))
         grid = sorted(thresholds)
         return [(t, self.deferral_profile.fraction(t)) for t in grid]
 
-    def refresh_threshold_grid(self, levels: int = 21) -> None:
+    def refresh_threshold_grid(self) -> None:
         """Rebuild the grid after the deferral profile was updated online."""
-        self.threshold_grid = self._build_threshold_grid(levels)
+        self.threshold_grid = self._build_threshold_grid()
 
     # --------------------------------------------------------------- latency
     def _light_execution(self, batch: int, device: Optional[DeviceClass] = None) -> float:
@@ -1039,9 +1040,11 @@ class DiffServeAllocator:
         """Overload fallback: serve everything with the light model, largest
         batch that fits the SLO on every hosting class, and accept every image
         (threshold 0).  Classes whose memory cannot hold the light model stay
-        idle (plan() guarantees at least one class can host it)."""
+        idle (plan() guarantees at least one class can host it); with a
+        resource model attached, hosting is gated on the declared footprint,
+        exactly as in the MILP."""
         fleet = ctx.fleet
-        hostable = [d for d in fleet.classes if d.can_host(self.light)]
+        hostable, _ = self._hostable_classes(fleet, ctx.resources)
         feasible_batches = [
             b
             for b in self.batch_candidates

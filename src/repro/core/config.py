@@ -16,6 +16,7 @@ CLI's ``--workload-params`` error style.
 from __future__ import annotations
 
 import enum
+import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -398,6 +399,58 @@ class ResourceConfig:
 
     def __str__(self) -> str:
         return self.token()
+
+
+def parse_resources(text: Optional[str]) -> Optional[ResourceConfig]:
+    """Parse a ``--resources`` string into a :class:`ResourceConfig`.
+
+    Accepts ``default`` (the built-in footprint catalog, reload-aware), or a
+    JSON object mapping variant names to checkpoint sizes in GB, with two
+    optional control keys: ``"reload_aware"`` (bool, default true) and
+    ``"egress_gb_per_image"`` (number, applied to every listed variant).
+    Unlisted variants keep their catalog footprints.  Every failure mode
+    raises :class:`ValueError` with a one-line message naming the bad key
+    (mirroring ``--fleet``).
+    """
+    stripped = (text or "").strip()
+    if not stripped:
+        return None
+    if not stripped.startswith(("{", "[")):
+        if stripped == "default":
+            return ResourceConfig.default()
+        if stripped == "oblivious":
+            return ResourceConfig.default(reload_aware=False)
+        raise ValueError(
+            f"--resources must be 'default', 'oblivious' or a JSON object, got {text!r}"
+        )
+    try:
+        decoded = json.loads(stripped)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON for --resources: {exc}") from exc
+    if not isinstance(decoded, dict):
+        raise ValueError("--resources JSON must be an object of variant: GB pairs")
+    reload_aware = decoded.pop("reload_aware", True)
+    if not isinstance(reload_aware, bool):
+        raise ValueError(f"resources key 'reload_aware' must be a boolean, got {reload_aware!r}")
+    egress = decoded.pop("egress_gb_per_image", None)
+    if egress is not None and (isinstance(egress, bool) or not isinstance(egress, (int, float))):
+        raise ValueError(f"resources key 'egress_gb_per_image' must be a number, got {egress!r}")
+    weights: Dict[str, float] = {}
+    for key, value in decoded.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            raise ValueError(
+                f"resources variant {key!r}: weights must be a positive number (GB), "
+                f"got {value!r}"
+            )
+        weights[str(key)] = float(value)
+    try:
+        return ResourceConfig.from_weights(
+            weights,
+            reload_aware=reload_aware,
+            egress_gb_per_image=None if egress is None else float(egress),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ValueError(str(exc).strip("'\"")) from exc
 
 
 # --------------------------------------------------------------------------

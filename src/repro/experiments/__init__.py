@@ -1,9 +1,9 @@
 """Experiment runners: one module per paper figure/table.
 
-Every module exposes a ``run_*`` function returning a structured result
-object and a ``main()`` that prints the corresponding table.  The benchmark
-harness under ``benchmarks/`` calls the ``run_*`` functions with reduced
-problem sizes; the examples call them at full scale.
+Figure modules expose a ``run_*`` function and a ``main()`` that prints the
+table; the comparative studies declare a ``STUDY`` run by
+:mod:`repro.experiments.study`.  The benchmarks under ``benchmarks/`` run
+both at reduced problem sizes; the examples run them at full scale.
 """
 
 from repro.experiments.harness import (

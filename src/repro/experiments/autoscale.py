@@ -28,16 +28,20 @@ equal-peak-cost fleet on (time-integrated cost, SLO violation ratio): strictly
 cheaper, no worse on violations.
 
 Every arm is one grid cell of the cached parallel runner (``autoscale`` and
-``prices`` are cached grid dimensions since cache schema v9), so
-``repro autoscale`` inherits the runner's determinism and caching guarantees.
+``prices`` are cached grid dimensions since cache schema v9) declared as a
+:class:`~repro.experiments.study.Study`, so ``repro autoscale`` inherits the
+runner's determinism and caching guarantees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
-from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
+from repro.experiments.harness import ExperimentScale
+from repro.experiments.study import Claim, Study, Summaries, dominates, metric
+from repro.runner.spec import ExperimentSpec, TraceSpec
+from repro.workloads import cascade_qps_range
 
 #: (workload kind, ``--prices`` spelling) market scenarios.  The diurnal
 #: workload rides the calm diurnal spot market; the flash crowd hits the same
@@ -67,181 +71,90 @@ DEFAULT_EPOCH = 3.0
 DEFAULT_QPS_FRACTION = 0.45
 
 
-@dataclass
-class AutoscaleArm:
-    """Outcome of one (workload, policy) cell."""
-
-    name: str
-    autoscale: Optional[str]
-    prices: str
-    summary: Dict[str, float]
-
-    @property
-    def cost(self) -> float:
-        """Time-integrated fleet cost of the arm (A100-hours)."""
-        return self.summary["fleet_cost"]
-
-    @property
-    def violation(self) -> float:
-        """SLO violation ratio of the arm."""
-        return self.summary["slo_violation_ratio"]
-
-    @property
-    def fid(self) -> float:
-        """FID of the arm."""
-        return self.summary["fid"]
-
-
-@dataclass
-class AutoscaleResult:
-    """All arms of the autoscale study, keyed by workload then policy name."""
-
-    qps: float
-    arms: Dict[str, Dict[str, AutoscaleArm]] = field(default_factory=dict)
-
-    def arm(self, workload: str, policy: str) -> AutoscaleArm:
-        """The arm for one (workload, policy) pair."""
-        return self.arms[workload][policy]
-
-    def cost_aware_dominates(self, workload: str = "diurnal", tol: float = 1e-9) -> bool:
-        """The headline claim, pinned by the benchmark gate.
-
-        The cost-aware arm strictly dominates the fixed equal-peak-cost
-        reference on (time-integrated cost, SLO violation ratio): strictly
-        cheaper, and no worse on violations (``tol`` absorbs float noise).
-        """
-        fixed = self.arm(workload, "fixed")
-        aware = self.arm(workload, "cost-aware")
-        return aware.cost < fixed.cost and aware.violation <= fixed.violation + tol
-
-    def savings(self, workload: str, policy: str) -> float:
-        """Fractional cost saving of ``policy`` vs. the fixed reference."""
-        fixed = self.arm(workload, "fixed")
-        if fixed.cost <= 0:
-            return 0.0
-        return 1.0 - self.arm(workload, policy).cost / fixed.cost
-
-
-def run_autoscale(
-    cascade_name: str = "sdturbo",
-    scale: ExperimentScale = BENCH_SCALE,
-    *,
-    markets: Sequence[Tuple[str, str]] = DEFAULT_MARKETS,
-    policies: Sequence[Tuple[str, Optional[str]]] = DEFAULT_POLICIES,
-    fleet: Tuple[Tuple[str, int], ...] = DEFAULT_FLEET,
-    qps: Optional[float] = None,
-    replan_epoch: float = DEFAULT_EPOCH,
-    jobs: int = 1,
-    use_cache: bool = True,
-) -> AutoscaleResult:
-    """Run the autoscale cells through the cached parallel grid runner.
+def arms(
+    cascade_name: str, scale: ExperimentScale, qps: Optional[float]
+) -> Dict[str, ExperimentSpec]:
+    """One ``workload/policy`` cell per market scenario and scale policy.
 
     Every policy arm of a workload serves the *identical* sampled trace under
     the *identical* price trace (both are functions of spec and seed, not of
     the policy), with adaptive re-planning attached so scale decisions have a
     cadence to ride on.
     """
-    from repro.runner.executor import run_grid
-    from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
-    from repro.workloads import cascade_qps_range
-
-    total_workers = sum(count for _, count in fleet)
+    total_workers = sum(count for _, count in DEFAULT_FLEET)
     scale = replace(scale, num_workers=max(total_workers, 2))
     if qps is None:
         lo, hi = cascade_qps_range(cascade_name, total_workers)
         qps = DEFAULT_QPS_FRACTION * hi
-    specs = [
-        ExperimentSpec(
+    return {
+        f"{kind}/{name}": ExperimentSpec(
             cascade=cascade_name,
             scale=scale,
             systems=("diffserve",),
             trace=TraceSpec(kind=kind, qps=qps),
             params=(
-                ("replan_epoch", float(replan_epoch)),
+                ("replan_epoch", DEFAULT_EPOCH),
                 ("replan_policy", "adaptive"),
             ),
-            fleet=tuple(sorted(fleet)),
+            fleet=tuple(sorted(DEFAULT_FLEET)),
             autoscale=autoscale,
             prices=prices,
         )
-        for kind, prices in markets
-        for _, autoscale in policies
-    ]
-    report = run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
-    failed = [cell for cell in report.cells if not cell.ok]
-    if failed:
-        details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in failed)
-        raise RuntimeError(f"autoscale study cells failed: {details}")
-
-    result = AutoscaleResult(qps=float(qps))
-    cell_iter = iter(report.cells)
-    for kind, prices in markets:
-        result.arms[kind] = {}
-        for name, autoscale in policies:
-            cell = next(cell_iter)
-            result.arms[kind][name] = AutoscaleArm(
-                name=name,
-                autoscale=autoscale,
-                prices=prices,
-                summary=dict(cell.summaries["diffserve"]),
-            )
-    return result
+        for kind, prices in DEFAULT_MARKETS
+        for name, autoscale in DEFAULT_POLICIES
+    }
 
 
-def main(scale: ExperimentScale = BENCH_SCALE) -> str:
-    """Run the autoscale study and print the per-arm table plus verdicts."""
-    result = run_autoscale(scale=scale)
-    rows: List[list] = []
-    for kind, arms in result.arms.items():
-        for name, arm in arms.items():
-            rows.append(
-                [
-                    kind,
-                    name,
-                    arm.prices,
-                    arm.cost,
-                    f"{result.savings(kind, name):.0%}",
-                    arm.violation,
-                    arm.fid,
-                    arm.summary["p99_latency"],
-                ]
-            )
-    verdicts = []
-    for kind, _ in result.arms.items():
-        if result.cost_aware_dominates(kind):
-            verdicts.append(
-                f"{kind}: cost-aware autoscaling strictly dominates the fixed "
-                f"equal-peak-cost fleet on (cost, SLO violation)"
-            )
-        else:
-            verdicts.append(
-                f"{kind}: cost-aware does NOT dominate the fixed fleet here "
-                f"(saving {result.savings(kind, 'cost-aware'):.0%})"
-            )
-    output = "\n".join(
-        [
-            f"Elastic fleets — DiffServe @ {result.qps:g} qps nominal, "
-            f"fleet {'+'.join(f'{cls}x{count}' for cls, count in DEFAULT_FLEET)}, "
-            f"adaptive re-planning every {DEFAULT_EPOCH:g}s",
-            format_table(
-                [
-                    "workload",
-                    "policy",
-                    "market",
-                    "cost (A100-h)",
-                    "saving",
-                    "SLO viol",
-                    "FID",
-                    "p99 (s)",
-                ],
-                rows,
-            ),
-            *verdicts,
-        ]
+def savings(s: Summaries, workload: str, policy: str) -> float:
+    """Fractional cost saving of ``policy`` vs. the fixed reference."""
+    fixed = s[f"{workload}/fixed"]["fleet_cost"]
+    if fixed <= 0:
+        return 0.0
+    return 1.0 - s[f"{workload}/{policy}"]["fleet_cost"] / fixed
+
+
+def _cost_aware_dominates(workload: str) -> Claim:
+    """The headline claim for one workload.
+
+    The cost-aware arm strictly dominates the fixed equal-peak-cost reference
+    on (time-integrated cost, SLO violation ratio): strictly cheaper, and no
+    worse on violations.
+    """
+
+    def holds(s: Summaries) -> bool:
+        fixed, aware = s[f"{workload}/fixed"], s[f"{workload}/cost-aware"]
+        return aware["fleet_cost"] < fixed["fleet_cost"] and dominates(
+            aware, fixed, on=("slo_violation_ratio",), tol=1e-9
+        )
+
+    return Claim(
+        holds,
+        f"{workload}: cost-aware autoscaling strictly dominates the fixed "
+        f"equal-peak-cost fleet on (cost, SLO violation)",
+        lambda s: f"{workload}: cost-aware does NOT dominate the fixed fleet here "
+        f"(saving {savings(s, workload, 'cost-aware'):.0%})",
     )
-    print(output)
-    return output
 
 
-if __name__ == "__main__":
-    main()
+STUDY = Study(
+    name="autoscale",
+    description="Elastic fleets: fixed vs. reactive vs. cost-aware autoscaling on spot markets",
+    title=lambda result: (
+        f"Elastic fleets — DiffServe @ {result.qps:g} qps nominal, "
+        f"fleet {'+'.join(f'{cls}x{count}' for cls, count in DEFAULT_FLEET)}, "
+        f"adaptive re-planning every {DEFAULT_EPOCH:g}s"
+    ),
+    arms=arms,
+    key_headers=("workload", "policy"),
+    columns=(
+        ("market", lambda result, name: result.specs[name].prices),
+        ("cost (A100-h)", metric("fleet_cost")),
+        ("saving", lambda result, name: f"{savings(result.summaries, *name.split('/')):.0%}"),
+        ("SLO viol", metric("slo_violation_ratio")),
+        ("FID", metric("fid")),
+        ("p99 (s)", metric("p99_latency")),
+    ),
+    claims={
+        f"{kind}/cost-aware-dominates": _cost_aware_dominates(kind) for kind, _ in DEFAULT_MARKETS
+    },
+)

@@ -30,23 +30,26 @@ ratio, p99 latency), both minimised.  The no-recovery arm must still
 drops (the graceful-degradation acceptance criterion).
 
 Every arm is one grid cell of the cached parallel runner (``faults`` is a
-cached grid dimension), so ``repro chaos`` inherits the runner's determinism
-and caching guarantees.
+cached grid dimension) declared as a :class:`~repro.experiments.study.Study`,
+so ``repro chaos`` inherits the runner's determinism and caching guarantees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Optional
 
-from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
+from repro.experiments.harness import ExperimentScale
+from repro.experiments.study import Claim, Study, dominates, metric
+from repro.runner.spec import ExperimentSpec, TraceSpec
+from repro.workloads import cascade_qps_range
 
-#: (arm name, ``--faults`` spelling) cells in execution order.
-DEFAULT_CELLS: Tuple[Tuple[str, Optional[str]], ...] = (
-    ("baseline", None),
-    ("recovery", "storm"),
-    ("norecovery", "storm-norecovery"),
-)
+#: Arm name -> ``--faults`` spelling, in execution order.
+ARM_FAULTS: Dict[str, Optional[str]] = {
+    "baseline": None,
+    "recovery": "storm",
+    "norecovery": "storm-norecovery",
+}
 
 #: Cluster size the storm scenario is designed against: the catalog ``storm``
 #: crashes workers 1 and 3 and slows workers 0 and 2, so a 6-worker fleet
@@ -62,154 +65,71 @@ DEFAULT_EPOCH = 3.0
 #: sizing rule as the contention study's flash crowd).
 DEFAULT_QPS_FRACTION = 0.6
 
-
-@dataclass
-class ChaosArm:
-    """Outcome of one fault-scenario cell."""
-
-    name: str
-    faults: Optional[str]
-    summary: Dict[str, float]
-
-    @property
-    def violation(self) -> float:
-        """SLO violation ratio of the arm."""
-        return self.summary["slo_violation_ratio"]
-
-    @property
-    def p99(self) -> float:
-        """p99 end-to-end latency (seconds) of the arm."""
-        return self.summary["p99_latency"]
+#: Metrics the recovery arm must match or beat (both minimised).
+SLO_PLANE = ("slo_violation_ratio", "p99_latency")
 
 
-@dataclass
-class ChaosResult:
-    """All arms of the chaos study, keyed by arm name."""
-
-    qps: float
-    arms: Dict[str, ChaosArm] = field(default_factory=dict)
-
-    def arm(self, name: str) -> ChaosArm:
-        """The arm with the given name."""
-        return self.arms[name]
-
-    def recovery_dominates(self, tol: float = 1e-9) -> bool:
-        """The headline claim, pinned by the benchmark gate.
-
-        Under the storm, the recovery arm matches or Pareto-dominates the
-        no-recovery arm on (SLO violation ratio, p99 latency), both
-        minimised; ``tol`` absorbs float noise.
-        """
-        recovery = self.arm("recovery")
-        norecovery = self.arm("norecovery")
-        return (
-            recovery.violation <= norecovery.violation + tol
-            and recovery.p99 <= norecovery.p99 + tol
-        )
-
-    def degrades_gracefully(self) -> bool:
-        """Whether the unmitigated storm degrades instead of falling over.
-
-        The no-recovery arm must still complete work and account for its
-        losses as drops — a mid-epoch crash may cost queries, never the run.
-        """
-        norecovery = self.arm("norecovery")
-        return norecovery.summary["completed"] > 0 and norecovery.summary["dropped"] > 0
-
-
-def run_chaos(
-    cascade_name: str = "sdturbo",
-    scale: ExperimentScale = BENCH_SCALE,
-    *,
-    cells: Sequence[Tuple[str, Optional[str]]] = DEFAULT_CELLS,
-    qps: Optional[float] = None,
-    replan_epoch: float = DEFAULT_EPOCH,
-    jobs: int = 1,
-    use_cache: bool = True,
-) -> ChaosResult:
-    """Run the chaos cells through the cached parallel grid runner.
+def arms(
+    cascade_name: str, scale: ExperimentScale, qps: Optional[float]
+) -> Dict[str, ExperimentSpec]:
+    """One flash-crowd cell per fault scenario.
 
     Every cell serves the *identical* sampled flash-crowd trace (the trace is
     a function of the workload spec and seed, not the fault plan) on the
     storm-sized :data:`STORM_NUM_WORKERS` cluster, with adaptive re-planning
     attached so the repair path actually re-solves.
     """
-    from repro.runner.executor import run_grid
-    from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
-    from repro.workloads import cascade_qps_range
-
     scale = replace(scale, num_workers=STORM_NUM_WORKERS)
     if qps is None:
         lo, hi = cascade_qps_range(cascade_name, scale.num_workers)
         qps = DEFAULT_QPS_FRACTION * hi
-    specs = [
-        ExperimentSpec(
+    return {
+        name: ExperimentSpec(
             cascade=cascade_name,
             scale=scale,
             systems=("diffserve",),
             trace=TraceSpec(kind="flash-crowd", qps=qps),
             params=(
-                ("replan_epoch", float(replan_epoch)),
+                ("replan_epoch", DEFAULT_EPOCH),
                 ("replan_policy", "adaptive"),
             ),
             faults=faults,
         )
-        for _, faults in cells
-    ]
-    report = run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
-    failed = [cell for cell in report.cells if not cell.ok]
-    if failed:
-        details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in failed)
-        raise RuntimeError(f"chaos study cells failed: {details}")
-
-    result = ChaosResult(qps=float(qps))
-    for (name, faults), cell in zip(cells, report.cells):
-        result.arms[name] = ChaosArm(
-            name=name,
-            faults=faults,
-            summary=dict(cell.summaries["diffserve"]),
-        )
-    return result
+        for name, faults in ARM_FAULTS.items()
+    }
 
 
-def main(scale: ExperimentScale = BENCH_SCALE) -> str:
-    """Run the chaos study and print the per-arm table plus verdicts."""
-    result = run_chaos(scale=scale)
-    rows: List[list] = []
-    for name, arm in result.arms.items():
-        rows.append(
-            [
-                name,
-                arm.faults or "-",
-                arm.summary["slo_violation_ratio"],
-                arm.summary["p99_latency"],
-                arm.summary["mean_latency"],
-                int(arm.summary["completed"]),
-                int(arm.summary["dropped"]),
-            ]
-        )
-    verdicts = [
-        "storm: recovery Pareto-dominates no-recovery on (SLO violation, p99 latency)"
-        if result.recovery_dominates()
-        else "storm: recovery does NOT dominate in this configuration",
-        "storm: unmitigated faults degrade gracefully (drops, completes, no crash)"
-        if result.degrades_gracefully()
-        else "storm: unmitigated arm FAILED to degrade gracefully",
-    ]
-    output = "\n".join(
-        [
-            f"Fault injection — DiffServe flash-crowd @ {result.qps:g} qps nominal, "
-            f"{STORM_NUM_WORKERS} workers, adaptive re-planning",
-            format_table(
-                ["arm", "faults", "SLO viol", "p99 (s)", "mean (s)", "done", "drop"],
-                rows,
-            ),
-            *verdicts,
-        ]
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+STUDY = Study(
+    name="chaos",
+    description="Fault injection: self-healing recovery vs. unmitigated faults",
+    title=lambda result: (
+        f"Fault injection — DiffServe flash-crowd @ {result.qps:g} qps nominal, "
+        f"{STORM_NUM_WORKERS} workers, adaptive re-planning"
+    ),
+    arms=arms,
+    key_headers=("arm",),
+    columns=(
+        ("faults", lambda result, name: result.specs[name].faults or "-"),
+        ("SLO viol", metric("slo_violation_ratio")),
+        ("p99 (s)", metric("p99_latency")),
+        ("mean (s)", metric("mean_latency")),
+        ("done", metric("completed", int)),
+        ("drop", metric("dropped", int)),
+    ),
+    claims={
+        # The headline claim: under the storm, recovery matches or
+        # Pareto-dominates the unmitigated arm on the SLO plane.
+        "recovery-dominates": Claim(
+            lambda s: dominates(s["recovery"], s["norecovery"], on=SLO_PLANE, tol=1e-9),
+            "storm: recovery Pareto-dominates no-recovery on (SLO violation, p99 latency)",
+            "storm: recovery does NOT dominate in this configuration",
+        ),
+        # A mid-epoch crash may cost queries, never the run: the unmitigated
+        # arm still completes work and accounts its losses as drops.
+        "degrades-gracefully": Claim(
+            lambda s: s["norecovery"]["completed"] > 0 and s["norecovery"]["dropped"] > 0,
+            "storm: unmitigated faults degrade gracefully (drops, completes, no crash)",
+            "storm: unmitigated arm FAILED to degrade gracefully",
+        ),
+    },
+)

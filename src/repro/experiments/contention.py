@@ -30,36 +30,35 @@ reload-oblivious plan on (SLO violation ratio, p99 latency), and in the
 co-fit scenario the two arms are indistinguishable.
 
 Every arm is one grid cell of the cached parallel runner (``resources`` is a
-cached grid dimension), so ``repro contention`` inherits the runner's
-determinism and caching guarantees.
+cached grid dimension) declared as a :class:`~repro.experiments.study.Study`,
+so ``repro contention`` inherits the runner's determinism and caching
+guarantees.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
+from repro.experiments.harness import ExperimentScale
+from repro.experiments.study import Claim, Study, Summaries, dominates, metric
+from repro.runner.spec import ExperimentSpec, TraceSpec
+from repro.workloads import cascade_qps_range
 
 #: Checkpoint pair for the contended scenario: together they exceed an 80 GB
 #: device, so light and heavy can never be co-resident and every pool flip
 #: pays a transfer (30/16 = 1.9 s, 60/16 = 3.75 s on the baseline class).
 CONTENDED_WEIGHTS: Dict[str, float] = {"sd-turbo": 30.0, "sd-v1.5": 60.0}
 
-#: (scenario, arm, ``--resources`` spelling) cells in execution order.
+#: ``scenario/arm`` name -> ``--resources`` spelling, in execution order.
 #: ``legacy`` keeps the pre-resource execution model as the reference point.
-DEFAULT_CELLS: Tuple[Tuple[str, str, Optional[str]], ...] = (
-    ("legacy", "legacy", None),
-    ("cofit", "oblivious", "oblivious"),
-    ("cofit", "aware", "default"),
-    (
-        "contended",
-        "oblivious",
-        json.dumps({**CONTENDED_WEIGHTS, "reload_aware": False}, sort_keys=True),
-    ),
-    ("contended", "aware", json.dumps(CONTENDED_WEIGHTS, sort_keys=True)),
-)
+ARM_RESOURCES: Dict[str, Optional[str]] = {
+    "legacy/legacy": None,
+    "cofit/oblivious": "oblivious",
+    "cofit/aware": "default",
+    "contended/oblivious": json.dumps({**CONTENDED_WEIGHTS, "reload_aware": False}, sort_keys=True),
+    "contended/aware": json.dumps(CONTENDED_WEIGHTS, sort_keys=True),
+}
 
 #: Adaptive re-planning epoch (seconds): short enough that a flash crowd
 #: triggers several pool flips over the trace.
@@ -74,169 +73,83 @@ DEFAULT_QPS_FRACTION = 0.6
 #: arms may differ only by float noise.
 NEUTRAL_TOL = 1e-6
 
-
-@dataclass
-class ContentionArm:
-    """Outcome of one (scenario, arm) cell."""
-
-    scenario: str
-    name: str
-    resources: Optional[str]
-    summary: Dict[str, float]
-
-    @property
-    def violation(self) -> float:
-        """SLO violation ratio of the arm."""
-        return self.summary["slo_violation_ratio"]
-
-    @property
-    def p99(self) -> float:
-        """p99 end-to-end latency (seconds) of the arm."""
-        return self.summary["p99_latency"]
+#: Metrics the planner arms are compared on (both minimised).
+SLO_PLANE = ("slo_violation_ratio", "p99_latency")
 
 
-@dataclass
-class ContentionResult:
-    """All cells of the contention study, keyed by scenario then arm name."""
-
-    qps: float
-    arms: Dict[str, Dict[str, ContentionArm]] = field(default_factory=dict)
-
-    def arm(self, scenario: str, name: str) -> ContentionArm:
-        """The arm for one (scenario, arm) pair."""
-        return self.arms[scenario][name]
-
-    def reload_aware_dominates(self, tol: float = 1e-9) -> bool:
-        """The headline claim, pinned by the benchmark gate.
-
-        In the contended scenario the reload-aware plan matches or
-        Pareto-dominates the reload-oblivious plan on (SLO violation ratio,
-        p99 latency), both minimised; ``tol`` absorbs float noise.
-        """
-        aware = self.arm("contended", "aware")
-        oblivious = self.arm("contended", "oblivious")
-        return (
-            aware.violation <= oblivious.violation + tol
-            and aware.p99 <= oblivious.p99 + tol
-        )
-
-    def coplacement_neutralizes(self, tol: float = NEUTRAL_TOL) -> bool:
-        """Whether the co-fit arms are indistinguishable on the SLO plane.
-
-        With both checkpoints pinned co-resident (or simply never evicted),
-        reload awareness has nothing left to optimise — the aware and
-        oblivious plans must land on the same outcome.
-        """
-        aware = self.arm("cofit", "aware")
-        oblivious = self.arm("cofit", "oblivious")
-        return (
-            abs(aware.violation - oblivious.violation) <= tol
-            and abs(aware.p99 - oblivious.p99) <= tol
-        )
-
-
-def run_contention(
-    cascade_name: str = "sdturbo",
-    scale: ExperimentScale = BENCH_SCALE,
-    *,
-    cells: Sequence[Tuple[str, str, Optional[str]]] = DEFAULT_CELLS,
-    qps: Optional[float] = None,
-    replan_epoch: float = DEFAULT_EPOCH,
-    jobs: int = 1,
-    use_cache: bool = True,
-) -> ContentionResult:
-    """Run the contention cells through the cached parallel grid runner.
+def arms(
+    cascade_name: str, scale: ExperimentScale, qps: Optional[float]
+) -> Dict[str, ExperimentSpec]:
+    """One flash-crowd cell per (footprint scenario, planner arm).
 
     Every cell serves the *identical* sampled flash-crowd trace (the trace is
     a function of the workload spec and seed, not the resource model), with
     adaptive re-planning attached so bursts actually flip pools and the
     deferral threshold pinned so the arms target identical quality.
     """
-    from repro.runner.executor import run_grid
-    from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
-    from repro.workloads import cascade_qps_range
-
     if qps is None:
         lo, hi = cascade_qps_range(cascade_name, scale.num_workers)
         qps = DEFAULT_QPS_FRACTION * hi
-    specs = [
-        ExperimentSpec(
+    return {
+        name: ExperimentSpec(
             cascade=cascade_name,
             scale=scale,
             systems=("diffserve",),
             trace=TraceSpec(kind="flash-crowd", qps=qps),
             params=(
                 ("policy_variant", "static-threshold"),
-                ("replan_epoch", float(replan_epoch)),
+                ("replan_epoch", DEFAULT_EPOCH),
                 ("replan_policy", "adaptive"),
             ),
             resources=resources,
         )
-        for _, _, resources in cells
-    ]
-    report = run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
-    failed = [cell for cell in report.cells if not cell.ok]
-    if failed:
-        details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in failed)
-        raise RuntimeError(f"contention study cells failed: {details}")
-
-    result = ContentionResult(qps=float(qps))
-    for (scenario, name, resources), cell in zip(cells, report.cells):
-        result.arms.setdefault(scenario, {})[name] = ContentionArm(
-            scenario=scenario,
-            name=name,
-            resources=resources,
-            summary=dict(cell.summaries["diffserve"]),
-        )
-    return result
+        for name, resources in ARM_RESOURCES.items()
+    }
 
 
-def main(scale: ExperimentScale = BENCH_SCALE) -> str:
-    """Run the contention study and print the per-cell table plus verdicts."""
-    result = run_contention(scale=scale)
-    rows: List[list] = []
-    for scenario, arms in result.arms.items():
-        for name, arm in arms.items():
-            rows.append(
-                [
-                    scenario,
-                    name,
-                    arm.summary["slo_violation_ratio"],
-                    arm.summary["p99_latency"],
-                    arm.summary["mean_latency"],
-                    arm.summary["fid"],
-                    int(arm.summary["completed"]),
-                    int(arm.summary["dropped"]),
-                ]
-            )
-    verdicts = []
-    if "cofit" in result.arms:
-        verdicts.append(
-            "co-fit: co-placement pinning neutralizes reloads (aware == oblivious)"
-            if result.coplacement_neutralizes()
-            else "co-fit: arms UNEXPECTEDLY diverge despite co-placement"
-        )
-    if "contended" in result.arms:
-        verdicts.append(
-            "contended: reload-aware plans Pareto-dominate reload-oblivious plans "
-            "on (SLO violation, p99 latency)"
-            if result.reload_aware_dominates()
-            else "contended: reload-aware plans do NOT dominate in this configuration"
-        )
-    output = "\n".join(
-        [
-            f"Reload/inference contention — DiffServe flash-crowd @ {result.qps:g} qps "
-            f"nominal, adaptive re-planning, pinned threshold",
-            format_table(
-                ["scenario", "arm", "SLO viol", "p99 (s)", "mean (s)", "FID", "done", "drop"],
-                rows,
+def _coplacement_neutralizes(s: Summaries) -> bool:
+    """Whether the co-fit arms are indistinguishable on the SLO plane.
+
+    With both checkpoints pinned co-resident (or simply never evicted),
+    reload awareness has nothing left to optimise — the aware and oblivious
+    plans must land on the same outcome.
+    """
+    aware, oblivious = s["cofit/aware"], s["cofit/oblivious"]
+    return all(abs(aware[key] - oblivious[key]) <= NEUTRAL_TOL for key in SLO_PLANE)
+
+
+STUDY = Study(
+    name="contention",
+    description="Reload/inference contention: reload-aware vs. reload-oblivious plans",
+    title=lambda result: (
+        f"Reload/inference contention — DiffServe flash-crowd @ {result.qps:g} qps "
+        f"nominal, adaptive re-planning, pinned threshold"
+    ),
+    arms=arms,
+    key_headers=("scenario", "arm"),
+    columns=(
+        ("SLO viol", metric("slo_violation_ratio")),
+        ("p99 (s)", metric("p99_latency")),
+        ("mean (s)", metric("mean_latency")),
+        ("FID", metric("fid")),
+        ("done", metric("completed", int)),
+        ("drop", metric("dropped", int)),
+    ),
+    claims={
+        "coplacement-neutralizes": Claim(
+            _coplacement_neutralizes,
+            "co-fit: co-placement pinning neutralizes reloads (aware == oblivious)",
+            "co-fit: arms UNEXPECTEDLY diverge despite co-placement",
+        ),
+        # The headline claim: when checkpoints cannot co-reside, the
+        # reload-aware plan matches or Pareto-dominates the oblivious one.
+        "reload-aware-dominates": Claim(
+            lambda s: dominates(
+                s["contended/aware"], s["contended/oblivious"], on=SLO_PLANE, tol=1e-9
             ),
-            *verdicts,
-        ]
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()
+            "contended: reload-aware plans Pareto-dominate reload-oblivious plans "
+            "on (SLO violation, p99 latency)",
+            "contended: reload-aware plans do NOT dominate in this configuration",
+        ),
+    },
+)

@@ -9,96 +9,47 @@ determinism contract), the per-region breakdown, and the number of queries
 the router spilled to remote regions.
 
 Every arm is one grid cell of the parallel runner with ``geo``/``shards`` as
-cached dimensions, so ``repro geo`` inherits the runner's cache and the
+cached dimensions, declared as a :class:`~repro.experiments.study.Study`, so
+``repro geo`` inherits the runner's cache and the
 ``--shards N`` byte-identity guarantee: re-running with a different shard
 count changes wall-clock, never a number in the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
+from repro.experiments.study import Study, metric, render_study, run_study
+from repro.runner.spec import ExperimentSpec, TraceSpec
 
 #: Topologies compared by default, smallest to largest.
 DEFAULT_TOPOLOGIES: Tuple[str, ...] = ("single", "us-eu", "global-4")
 
-
-@dataclass
-class GeoArm:
-    """Outcome of one (topology, system) arm."""
-
-    topology: str
-    regions: int
-    workers: int
-    summary: Dict[str, float]
+#: Worker processes each topology's regions are packed into.
+SHARDS = 1
 
 
-@dataclass
-class GeoScaleResult:
-    """All arms, keyed by topology then system name."""
-
-    shards: int
-    arms: Dict[str, Dict[str, GeoArm]] = field(default_factory=dict)
-
-    def arm(self, topology: str, system: str) -> GeoArm:
-        """The arm for one (topology, system) pair."""
-        return self.arms[topology][system]
-
-
-def run_geo_scale(
-    cascade_name: str = "sdturbo",
-    scale: ExperimentScale = BENCH_SCALE,
-    *,
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    systems: Sequence[str] = ("diffserve",),
-    workload: str = "diurnal",
-    qps: Optional[float] = None,
-    shards: int = 1,
-    jobs: int = 1,
-    use_cache: bool = True,
-) -> GeoScaleResult:
-    """Sweep geo topologies through the cached parallel grid runner.
+def arms(
+    cascade_name: str, scale: ExperimentScale, qps: Optional[float]
+) -> Dict[str, ExperimentSpec]:
+    """One diurnal cell per geo topology.
 
     The nominal rate scales with each topology's total device count (set by
     the runner's workload resolution), so every topology is stressed
     comparably rather than the large fleets coasting.
     """
-    from repro.core.geo import get_topology
-    from repro.runner.executor import run_grid
-    from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
-
-    resolved = [(name, get_topology(name)) for name in topologies]
-    specs = [
-        ExperimentSpec(
+    return {
+        name: ExperimentSpec(
             cascade=cascade_name,
             scale=scale,
-            systems=tuple(systems),
-            trace=TraceSpec(kind=workload, qps=qps),
+            systems=("diffserve",),
+            trace=TraceSpec(kind="diurnal", qps=qps),
             geo=name,
-            shards=shards,
+            shards=SHARDS,
         )
-        for name, _ in resolved
-    ]
-    report = run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
-    failed = [cell for cell in report.cells if not cell.ok]
-    if failed:
-        details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in failed)
-        raise RuntimeError(f"geo study cells failed: {details}")
-
-    result = GeoScaleResult(shards=shards)
-    for (name, topology), cell in zip(resolved, report.cells):
-        result.arms[name] = {
-            system: GeoArm(
-                topology=name,
-                regions=len(topology),
-                workers=topology.total_workers,
-                summary=dict(summary),
-            )
-            for system, summary in cell.summaries.items()
-        }
-    return result
+        for name in DEFAULT_TOPOLOGIES
+    }
 
 
 def shard_timing_report(
@@ -174,47 +125,30 @@ def shard_timing_report(
 
 
 def main(scale: ExperimentScale = BENCH_SCALE) -> str:
-    """Run the geo-scale study and print the per-topology table."""
-    result = run_geo_scale(scale=scale)
-    rows: List[list] = []
-    for topology, arms in result.arms.items():
-        for system, arm in arms.items():
-            rows.append(
-                [
-                    topology,
-                    arm.regions,
-                    arm.workers,
-                    system,
-                    int(arm.summary["total_queries"]),
-                    arm.summary["fid"],
-                    arm.summary["slo_violation_ratio"],
-                    arm.summary["p99_latency"],
-                ]
-            )
+    """Print the per-topology table, then the wall-clock shard timing report."""
     output = "\n".join(
-        [
-            f"Geo-scale serving — shards={result.shards} "
-            "(summaries are shard-count-invariant)",
-            format_table(
-                [
-                    "topology",
-                    "regions",
-                    "workers",
-                    "system",
-                    "queries",
-                    "FID",
-                    "SLO viol",
-                    "p99 (s)",
-                ],
-                rows,
-            ),
-            "",
-            shard_timing_report(scale=scale),
-        ]
+        [render_study(run_study(STUDY, scale=scale)), "", shard_timing_report(scale=scale)]
     )
     print(output)
     return output
 
 
-if __name__ == "__main__":
-    main()
+STUDY = Study(
+    name="geo",
+    description="Geo-scale serving: multi-region topologies through the shard supervisor",
+    title=lambda result: (
+        f"Geo-scale serving — shards={SHARDS} (summaries are shard-count-invariant)"
+    ),
+    arms=arms,
+    key_headers=("topology",),
+    columns=(
+        ("regions", lambda result, name: len(result.specs[name].resolve_geo())),
+        ("workers", lambda result, name: result.specs[name].resolve_geo().total_workers),
+        ("system", lambda result, name: result.specs[name].systems[0]),
+        ("queries", metric("total_queries", int)),
+        ("FID", metric("fid")),
+        ("SLO viol", metric("slo_violation_ratio")),
+        ("p99 (s)", metric("p99_latency")),
+    ),
+    main=main,
+)

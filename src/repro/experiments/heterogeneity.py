@@ -9,9 +9,10 @@ FID/SLO-violation trade-off than the all-A100 reference: cheap slow devices
 absorb the lightweight model's bulk traffic while the fast tier keeps the
 heavyweight model's latency inside the SLO.
 
-Every (workload, fleet) arm is one grid cell of the parallel runner: the
-DiffServe system runs the identical sampled trace on each fleet, summaries
-are content-addressed in the artifact cache, and cells compute byte-identical
+Every (workload, fleet) arm is one grid cell of the parallel runner,
+declared as a :class:`~repro.experiments.study.Study`: the DiffServe system
+runs the identical sampled trace on each fleet, summaries are
+content-addressed in the artifact cache, and cells compute byte-identical
 results serial or process-pooled (``repro fleet`` inherits the runner's
 determinism guarantee).  Reported per workload: each fleet's FID, SLO
 violation ratio and p99 latency, plus the Pareto front over
@@ -20,12 +21,14 @@ violation ratio and p99 latency, plus the Pareto front over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import FleetSpec, fleet_from_counts
-from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
+from repro.experiments.harness import ExperimentScale
+from repro.experiments.study import Claim, Study, Summaries, dominates, metric
 from repro.metrics.pareto import ParetoPoint, pareto_frontier
+from repro.runner.spec import ExperimentSpec, TraceSpec
+from repro.workloads import cascade_qps_range
 
 #: Candidate fleets at (approximately) equal aggregate cost.  The first entry
 #: is the homogeneous reference every mixed fleet is compared against; costs
@@ -36,69 +39,14 @@ DEFAULT_FLEETS: Tuple[Tuple[str, Dict[str, int]], ...] = (
     ("a100+l4", {"a100": 10, "l4": 20}),    # 16.0 A100-h: mid tier + cheap bulk
 )
 
+#: The homogeneous reference fleet.
+REFERENCE = DEFAULT_FLEETS[0][0]
+
 #: Relative cost slack allowed between the reference and any candidate fleet.
 COST_TOLERANCE = 0.07
 
 #: Workload scenarios whose load shape stresses provisioning differently.
 DEFAULT_WORKLOADS: Tuple[str, ...] = ("mmpp", "diurnal")
-
-
-@dataclass
-class FleetArm:
-    """Outcome of one (workload, fleet) arm."""
-
-    fleet_name: str
-    counts: Dict[str, int]
-    cost: float
-    workers: int
-    summary: Dict[str, float]
-
-    @property
-    def violation(self) -> float:
-        """SLO violation ratio of the arm."""
-        return self.summary["slo_violation_ratio"]
-
-    @property
-    def fid(self) -> float:
-        """FID of the arm."""
-        return self.summary["fid"]
-
-
-@dataclass
-class HeterogeneityResult:
-    """All arms, keyed by workload kind then fleet name."""
-
-    reference: str
-    qps: float
-    arms: Dict[str, Dict[str, FleetArm]] = field(default_factory=dict)
-
-    def arm(self, workload: str, fleet_name: str) -> FleetArm:
-        """The arm for one (workload, fleet) pair."""
-        return self.arms[workload][fleet_name]
-
-    def pareto_front(self, workload: str) -> List[str]:
-        """Fleet names on the (violation ratio, FID) front — both minimised."""
-        points = [
-            ParetoPoint(arm.violation, arm.fid, payload=name)
-            for name, arm in self.arms[workload].items()
-        ]
-        return [p.payload for p in pareto_frontier(points)]
-
-    def dominating_mixed_fleets(self, workload: str, tol: float = 1e-9) -> List[str]:
-        """Mixed fleets matching or Pareto-dominating the reference.
-
-        A mixed fleet qualifies when it is at least as good as the
-        homogeneous reference on *both* objectives (within ``tol``) — i.e. it
-        matches or dominates at equal aggregate cost.
-        """
-        ref = self.arms[workload][self.reference]
-        return [
-            name
-            for name, arm in self.arms[workload].items()
-            if name != self.reference
-            and arm.violation <= ref.violation + tol
-            and arm.fid <= ref.fid + tol
-        ]
 
 
 def resolve_fleets(
@@ -125,27 +73,21 @@ def resolve_fleets(
     return resolved
 
 
-def run_heterogeneity(
-    cascade_name: str = "sdturbo",
-    scale: ExperimentScale = BENCH_SCALE,
+def arms(
+    cascade_name: str,
+    scale: ExperimentScale,
+    qps: Optional[float],
     *,
     fleets: Sequence[Tuple[str, Mapping[str, int]]] = DEFAULT_FLEETS,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    qps: Optional[float] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-) -> HeterogeneityResult:
-    """Sweep fleets x workloads through the cached parallel grid runner.
+) -> Dict[str, ExperimentSpec]:
+    """One ``workload/fleet`` cell per workload and equal-cost fleet.
 
     Every fleet serves the *identical* sampled arrival trace per workload
     (the trace is a function of the workload spec and seed, not the fleet),
     at a nominal rate chosen to stress the reference fleet — heterogeneity
     only pays off when capacity actually binds.
     """
-    from repro.runner.executor import run_grid
-    from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
-    from repro.workloads import cascade_qps_range
-
     resolved = resolve_fleets(fleets)
     if qps is None:
         # Nominal rate near the top of the cascade's default range for a
@@ -153,8 +95,8 @@ def run_heterogeneity(
         # allocator must trade threshold for throughput.
         lo, hi = cascade_qps_range(cascade_name, resolved[0][1].total_workers)
         qps = 0.75 * hi
-    specs = [
-        ExperimentSpec(
+    return {
+        f"{kind}/{name}": ExperimentSpec(
             cascade=cascade_name,
             scale=scale,
             systems=("diffserve",),
@@ -162,95 +104,83 @@ def run_heterogeneity(
             fleet=tuple(sorted(fleet.as_counts().items())),
         )
         for kind in workloads
-        for _, fleet in resolved
+        for name, fleet in resolved
+    }
+
+
+def _workload_arms(s: Summaries, workload: str) -> Dict[str, Mapping[str, float]]:
+    """One workload's summaries keyed by fleet name, in arm order."""
+    return {
+        name.partition("/")[2]: summary
+        for name, summary in s.items()
+        if name.partition("/")[0] == workload
+    }
+
+
+def pareto_front(s: Summaries, workload: str) -> List[str]:
+    """Fleet names on the (violation ratio, FID) front — both minimised."""
+    points = [
+        ParetoPoint(arm["slo_violation_ratio"], arm["fid"], payload=name)
+        for name, arm in _workload_arms(s, workload).items()
     ]
-    report = run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
-    failed = [cell for cell in report.cells if not cell.ok]
-    if failed:
-        details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in failed)
-        raise RuntimeError(f"fleet study cells failed: {details}")
-
-    result = HeterogeneityResult(reference=resolved[0][0], qps=float(qps))
-    cell_iter = iter(report.cells)
-    for kind in workloads:
-        result.arms[kind] = {}
-        for name, fleet in resolved:
-            cell = next(cell_iter)
-            summary = dict(cell.summaries["diffserve"])
-            # Bill what the run actually held: the controller's time-integrated
-            # cost ledger (A100-hours).  The construction-time
-            # ``fleet.total_cost`` is a *rate* and ignores mid-run fleet
-            # transitions (revocations, repairs, autoscaling); the fallback
-            # only covers summaries cached before the ledger existed.
-            cost = summary.get(
-                "fleet_cost", fleet.total_cost * scale.trace_duration / 3600.0
-            )
-            result.arms[kind][name] = FleetArm(
-                fleet_name=name,
-                counts=fleet.as_counts(),
-                cost=cost,
-                workers=fleet.total_workers,
-                summary=summary,
-            )
-    return result
+    return [p.payload for p in pareto_frontier(points)]
 
 
-def main(scale: ExperimentScale = BENCH_SCALE) -> str:
-    """Run the heterogeneity study and print the per-arm table."""
-    result = run_heterogeneity(scale=scale)
-    rows: List[list] = []
-    for kind, arms in result.arms.items():
-        front = set(result.pareto_front(kind))
-        for name, arm in arms.items():
-            rows.append(
-                [
-                    kind,
-                    name,
-                    "+".join(f"{cls}x{count}" for cls, count in arm.counts.items()),
-                    arm.cost,
-                    arm.workers,
-                    arm.fid,
-                    arm.violation,
-                    arm.summary["p99_latency"],
-                    "yes" if name in front else "",
-                ]
-            )
-    verdicts = []
-    for kind in result.arms:
-        winners = result.dominating_mixed_fleets(kind)
-        if winners:
-            verdicts.append(
-                f"{kind}: mixed fleet(s) {', '.join(winners)} match or Pareto-dominate "
-                f"{result.reference} at equal aggregate cost"
-            )
-        else:
-            verdicts.append(
-                f"{kind}: no mixed fleet dominates {result.reference}; "
-                f"front = {', '.join(result.pareto_front(kind))}"
-            )
-    output = "\n".join(
-        [
-            f"Heterogeneous fleets at equal cost — DiffServe @ {result.qps:g} qps nominal",
-            format_table(
-                [
-                    "workload",
-                    "fleet",
-                    "devices",
-                    "cost",
-                    "workers",
-                    "FID",
-                    "SLO viol",
-                    "p99 (s)",
-                    "front",
-                ],
-                rows,
-            ),
-            *verdicts,
-        ]
+def dominating_mixed_fleets(s: Summaries, workload: str, tol: float = 1e-9) -> List[str]:
+    """Mixed fleets matching or Pareto-dominating the reference.
+
+    A mixed fleet qualifies when it is at least as good as the homogeneous
+    reference on *both* objectives (within ``tol``) — i.e. it matches or
+    dominates at equal aggregate cost.
+    """
+    fleets = _workload_arms(s, workload)
+    return [
+        name
+        for name, arm in fleets.items()
+        if name != REFERENCE
+        and dominates(arm, fleets[REFERENCE], on=("slo_violation_ratio", "fid"), tol=tol)
+    ]
+
+
+def _mixed_dominates(workload: str) -> Claim:
+    """Some mixed fleet matches or dominates the reference on ``workload``."""
+    return Claim(
+        lambda s: bool(dominating_mixed_fleets(s, workload)),
+        lambda s: f"{workload}: mixed fleet(s) {', '.join(dominating_mixed_fleets(s, workload))} "
+        f"match or Pareto-dominate {REFERENCE} at equal aggregate cost",
+        lambda s: f"{workload}: no mixed fleet dominates {REFERENCE}; "
+        f"front = {', '.join(pareto_front(s, workload))}",
     )
-    print(output)
-    return output
 
 
-if __name__ == "__main__":
-    main()
+def _devices(result, name: str) -> str:
+    counts = result.specs[name].resolve_fleet().as_counts()
+    return "+".join(f"{cls}x{count}" for cls, count in counts.items())
+
+
+def _on_front(result, name: str) -> str:
+    workload, _, fleet = name.partition("/")
+    return "yes" if fleet in pareto_front(result.summaries, workload) else ""
+
+
+STUDY = Study(
+    name="fleet",
+    description="Heterogeneous fleets: homogeneous vs. mixed at equal aggregate cost",
+    title=lambda result: (
+        f"Heterogeneous fleets at equal cost — DiffServe @ {result.qps:g} qps nominal"
+    ),
+    arms=arms,
+    key_headers=("workload", "fleet"),
+    columns=(
+        ("devices", _devices),
+        # Bills what the run actually held: the controller's time-integrated
+        # cost ledger (A100-hours), which tracks mid-run fleet transitions.
+        ("cost", metric("fleet_cost")),
+        ("workers", lambda result, name: result.specs[name].resolve_fleet().total_workers),
+        ("FID", metric("fid")),
+        ("SLO viol", metric("slo_violation_ratio")),
+        ("p99 (s)", metric("p99_latency")),
+        ("front", _on_front),
+    ),
+    claims={f"{kind}/mixed-dominates": _mixed_dominates(kind) for kind in DEFAULT_WORKLOADS},
+)

@@ -335,12 +335,13 @@ class ExperimentSpec:
         :class:`~repro.core.config.ResourceConfig`.
 
         ``None`` when the cell runs the legacy compute-only execution model.
-        Parsing and validation live in :func:`~repro.cli.parse_resources`
-        (``"default"`` or the ``--resources`` JSON form).
+        Parsing and validation live in
+        :func:`~repro.core.config.parse_resources` (``"default"`` or the
+        ``--resources`` JSON form).
         """
         if self.resources is None:
             return None
-        from repro.cli import parse_resources
+        from repro.core.config import parse_resources
 
         return parse_resources(self.resources)
 

@@ -123,10 +123,6 @@ def test_queue_backlog_restricts_plan(allocator):
 def test_allocator_validation(cascade1, deferral_profile):
     with pytest.raises(ValueError):
         DiffServeAllocator(cascade1.light, cascade1.heavy, deferral_profile, over_provision=0.9)
-    with pytest.raises(ValueError):
-        DiffServeAllocator(
-            cascade1.light, cascade1.heavy, deferral_profile, threshold_levels=1
-        )
 
 
 # -------------------------------------------------------------------- policies

@@ -459,23 +459,24 @@ def test_mixed_fleet_simulation_end_to_end(coco_dataset, trained_discriminator, 
 # --------------------------------------------------------------- fleet study
 def test_heterogeneity_study_is_deterministic_and_serial_equals_pool(tmp_path, monkeypatch):
     import json
+    from dataclasses import replace
+    from functools import partial
 
+    from repro.experiments import heterogeneity
     from repro.experiments.harness import ExperimentScale
-    from repro.experiments.heterogeneity import run_heterogeneity
+    from repro.experiments.study import run_study
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     scale = ExperimentScale(dataset_size=60, trace_duration=12.0, num_workers=2, seed=0)
     fleets = (("a100x2", {"a100": 2}), ("mix", {"a100": 1, "l4": 3}))
+    study = replace(
+        heterogeneity.STUDY,
+        arms=partial(heterogeneity.arms, fleets=fleets, workloads=("mmpp",)),
+    )
 
     def snapshot(jobs, use_cache):
-        result = run_heterogeneity(
-            scale=scale, fleets=fleets, workloads=("mmpp",), qps=4.0,
-            jobs=jobs, use_cache=use_cache,
-        )
-        return json.dumps(
-            {k: {n: a.summary for n, a in arms.items()} for k, arms in result.arms.items()},
-            sort_keys=True,
-        )
+        result = run_study(study, scale=scale, qps=4.0, jobs=jobs, use_cache=use_cache)
+        return json.dumps(result.summaries, sort_keys=True)
 
     serial = snapshot(jobs=1, use_cache=True)
     # Byte-identical on repeat (cache hit) and with the cache bypassed.

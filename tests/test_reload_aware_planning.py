@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.allocator import AllocationPlan, ControlContext
 from repro.core.config import ResourceConfig, fleet_from_counts
-from repro.experiments.contention import ContentionArm, ContentionResult
+from repro.experiments import contention
 
 
 def _ctx(allocator, *, fleet=None, num_workers=4, resources=None, current_plan=None, demand=2.0):
@@ -150,6 +150,20 @@ def test_solved_plans_carry_residency(allocator):
     assert legacy.residency is None
 
 
+def test_overload_plan_gates_light_hosts_on_declared_footprint(allocator):
+    # A 30 GB light checkpoint fits an a100 (80 GB) but not an l4 (24 GB):
+    # the best-effort overload plan must leave the l4 workers idle rather
+    # than overcommit their memory.
+    fleet = fleet_from_counts({"a100": 1, "l4": 2})
+    plan = allocator.plan(_ctx(allocator, fleet=fleet, resources=_contended(), demand=1e4))
+    assert not plan.feasible
+    assert plan.light_assignment == {"a100": 1}
+    assert plan.num_light == 1
+    # Without a resource model the coarse tier check keeps every class.
+    legacy = allocator.plan(_ctx(allocator, fleet=fleet, demand=1e4))
+    assert legacy.light_assignment == {"a100": 1, "l4": 2}
+
+
 # ------------------------------------------------------------ control plane
 def test_controller_applies_residency_to_workers(cascade1):
     from repro.core.system import build_diffserve_system
@@ -183,29 +197,21 @@ def test_replanner_snapshots_record_residency_token():
 
 
 # ------------------------------------------------------- contention verdicts
-def _arm(scenario, name, violation, p99):
-    return ContentionArm(
-        scenario=scenario,
-        name=name,
-        resources=None,
-        summary={"slo_violation_ratio": violation, "p99_latency": p99},
-    )
+def _slo(violation, p99):
+    return {"slo_violation_ratio": violation, "p99_latency": p99}
 
 
 def test_contention_domination_and_neutrality_logic():
-    result = ContentionResult(qps=10.0)
-    result.arms = {
-        "cofit": {
-            "aware": _arm("cofit", "aware", 0.05, 4.0),
-            "oblivious": _arm("cofit", "oblivious", 0.05, 4.0),
-        },
-        "contended": {
-            "aware": _arm("contended", "aware", 0.02, 3.9),
-            "oblivious": _arm("contended", "oblivious", 0.06, 4.8),
-        },
+    dominates = contention.STUDY.claims["reload-aware-dominates"]
+    neutralizes = contention.STUDY.claims["coplacement-neutralizes"]
+    summaries = {
+        "cofit/aware": _slo(0.05, 4.0),
+        "cofit/oblivious": _slo(0.05, 4.0),
+        "contended/aware": _slo(0.02, 3.9),
+        "contended/oblivious": _slo(0.06, 4.8),
     }
-    assert result.reload_aware_dominates()
-    assert result.coplacement_neutralizes()
+    assert dominates.holds(summaries)
+    assert neutralizes.holds(summaries)
     # Losing either objective breaks domination.
-    result.arms["contended"]["aware"].summary["p99_latency"] = 5.0
-    assert not result.reload_aware_dominates()
+    summaries["contended/aware"]["p99_latency"] = 5.0
+    assert not dominates.holds(summaries)

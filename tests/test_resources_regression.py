@@ -13,8 +13,8 @@ import warnings
 import pytest
 
 import repro.core.config as core_config
-from repro.cli import parse_grid, parse_resources
-from repro.core.config import ResourceConfig, fleet_from_counts
+from repro.cli import parse_grid
+from repro.core.config import ResourceConfig, fleet_from_counts, parse_resources
 from repro.core.system import build_diffserve_system
 from repro.experiments.harness import ExperimentScale
 from repro.models.zoo import get_cascade
