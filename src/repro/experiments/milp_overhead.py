@@ -2,8 +2,11 @@
 
 The paper measures the average runtime of the Gurobi MILP solve at ~10 ms and
 notes that it never sits on the critical path of query serving.  This module
-measures the runtime of our branch-and-bound solver across demand levels, and
-cross-checks its solutions against the exhaustive solver.
+measures the runtime of one full allocation solve across demand levels on a
+16-worker cluster, whose per-pair MILPs exceed the allocator's exhaustive
+search limit and so run on branch-and-bound.  It then re-solves each chosen
+pair's MILP with both branch-and-bound and the closed-form exhaustive solver
+and checks that their optima agree.
 """
 
 from __future__ import annotations
@@ -70,13 +73,6 @@ def run_milp_overhead(
         profile,
         discriminator_latency=discriminator.latency_s,
     )
-    exhaustive_allocator = DiffServeAllocator(
-        cascade.light,
-        cascade.heavy,
-        profile,
-        discriminator_latency=discriminator.latency_s,
-        solver=BranchAndBoundSolver(),
-    )
 
     if demands is None:
         demands = np.linspace(2.0, 2.0 * num_workers, 9)
@@ -96,7 +92,7 @@ def run_milp_overhead(
         result.thresholds.append(plan.threshold)
 
         if check_exhaustive and plan.feasible:
-            problem = exhaustive_allocator.build_problem(
+            problem = allocator.build_problem(
                 ctx, plan.light_batch, plan.heavy_batch, float(demand) * allocator.over_provision
             )
             bnb = BranchAndBoundSolver().solve(problem)

@@ -1,10 +1,17 @@
 """A small mixed-integer linear programming (MILP) toolkit.
 
 The paper solves its resource-allocation problem with Gurobi.  Gurobi is not
-available offline, so this package provides a from-scratch MILP solver built
-on :func:`scipy.optimize.linprog` LP relaxations with best-first
-branch-and-bound, plus an exhaustive enumerator used for cross-checking on
-small problems.  Both solvers accept the same declarative problem description.
+available offline, so this package provides two from-scratch solvers over the
+same declarative problem description:
+
+* :class:`BranchAndBoundSolver` — best-first branch-and-bound over
+  :func:`scipy.optimize.linprog` LP relaxations, for problems of any size;
+* :class:`ExhaustiveSolver` — LP-free enumeration of the integral grid with
+  the continuous variables optimised in closed form, for small separable
+  problems (every constraint mentions at most one continuous variable).
+
+The allocator picks between them by each problem's integral search space;
+the tests use each as the other's oracle.
 """
 
 from repro.milp.problem import Constraint, MILPProblem, Sense, Variable, VarType

@@ -92,11 +92,10 @@ class BranchAndBoundSolver:
             if not var.is_integral:
                 continue
             value = values[name]
+            # Distance to the nearest integer measures "fractionality".
             frac = abs(value - round(value))
-            # Distance from the nearest half-integer measures "fractionality".
-            distance_to_half = abs(frac - 0.0)
-            if distance_to_half > best_frac:
-                best_frac = distance_to_half
+            if frac > best_frac:
+                best_frac = frac
                 best_name = name
         return best_name
 
@@ -217,7 +216,7 @@ class BranchAndBoundSolver:
             SolveStatus.OPTIMAL if not heap or nodes < self.max_nodes else SolveStatus.NODE_LIMIT
         )
         return MILPSolution(
-            status=SolveStatus.OPTIMAL if status_out == SolveStatus.OPTIMAL else status_out,
+            status=status_out,
             objective=incumbent_obj,
             values=incumbent,
             nodes_explored=nodes,

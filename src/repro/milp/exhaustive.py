@@ -1,44 +1,52 @@
 """Exhaustive MILP solver for small, fully bounded integer problems.
 
-Used to cross-check the branch-and-bound solver in tests and as a fallback
-when every variable is integral with small bounded domains (the DiffServe
-allocation problem has at most a few thousand candidate assignments).
+It enumerates every integral assignment and optimises the continuous
+variables in closed form, so a solve runs no LP at all.  That needs a
+*separable* problem: every constraint mentions at most one continuous
+variable.  With the integral variables fixed, each constraint is then an
+interval bound on its one continuous variable (or a pure feasibility check),
+and a linear objective over an interval peaks at an endpoint.  The
+allocator's ``fraction`` formulation is separable: ``f`` sits only in the
+heavy-throughput row and each reload variable ``r[c]`` only in its own
+``r[c] >= x[c] - prev`` row.  Non-separable problems are rejected on entry.
 
-Problems with at most one continuous variable — the online ``fraction``
-formulation of the allocator — are solved without any LP at all: with the
-integral variables fixed, every constraint is an interval bound on the single
-continuous variable, so its optimum sits at an interval endpoint.  That makes
-the exhaustive path pure arithmetic, which is why the allocator prefers it
-below a search-space cutoff.
+The allocator routes every per-pair MILP whose integral search space is at
+most :data:`repro.core.allocator.EXHAUSTIVE_SEARCH_LIMIT` here; the tests and
+the Section 4.5 overhead study use it to cross-check branch-and-bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+
+# Not called here: perfbench's layer probes wrap this module attribute.
+from scipy.optimize import linprog  # noqa: F401
 
 from repro.milp.problem import MILPProblem, Sense
 from repro.milp.solution import MILPSolution, SolveStatus
 
-#: Feasibility slack used when reducing constraints on the single continuous
-#: variable (matches the tolerance of :meth:`MILPProblem.is_feasible` checks).
+#: Feasibility slack used when reducing constraints on a continuous variable
+#: (matches the tolerance of :meth:`MILPProblem.is_feasible` checks).
 _TOL = 1e-9
+
+#: One constraint split for the closed form: its integral terms, the one
+#: continuous variable it bounds (``None`` for a pure feasibility check) and
+#: that variable's coefficient, the sense and the right-hand side.
+_Row = Tuple[Tuple[Tuple[str, float], ...], Optional[str], float, Sense, float]
 
 
 class ExhaustiveSolver:
-    """Enumerates all integral assignments; continuous variables are optimised
-    per assignment (closed form for one variable, an LP otherwise)."""
+    """Enumerates all integral assignments of a separable MILP; the continuous
+    variables are optimised per assignment in closed form."""
 
     def __init__(self, max_combinations: int = 2_000_000) -> None:
         if max_combinations < 1:
             raise ValueError("max_combinations must be >= 1")
         self.max_combinations = max_combinations
-        #: Cumulative LPs solved (stays 0 on the closed-form path).
-        self.total_lp_solves = 0
 
     def _integer_domains(self, problem: MILPProblem) -> Dict[str, List[int]]:
         domains: Dict[str, List[int]] = {}
@@ -53,6 +61,30 @@ class ExhaustiveSolver:
             hi = int(np.floor(var.upper))
             domains[name] = list(range(lo, hi + 1))
         return domains
+
+    @staticmethod
+    def _separable_rows(problem: MILPProblem) -> List[_Row]:
+        """Split every constraint into integral terms plus at most one
+        continuous term; a constraint coupling two continuous variables has
+        no closed form and is rejected."""
+        rows: List[_Row] = []
+        for con in problem.constraints:
+            terms = []
+            continuous = []
+            for name, coeff in con.coefficients.items():
+                if problem.variables[name].is_integral:
+                    terms.append((name, coeff))
+                elif coeff != 0.0:
+                    continuous.append(name)
+            if len(continuous) > 1:
+                raise ValueError(
+                    f"exhaustive solver needs separable continuous variables; constraint "
+                    f"{con.name or '<unnamed>'!r} couples {', '.join(continuous)}"
+                )
+            cont = continuous[0] if continuous else None
+            a = con.coefficients[cont] if cont is not None else 0.0
+            rows.append((tuple(terms), cont, a, con.sense, con.rhs))
+        return rows
 
     def search_space(self, problem: MILPProblem) -> Optional[int]:
         """Number of integral assignments, or ``None`` if any is unbounded."""
@@ -71,12 +103,11 @@ class ExhaustiveSolver:
         """Enumerate the integral grid and return the best feasible assignment.
 
         A feasible ``warm_start`` seeds the running best, so assignments that
-        cannot strictly beat the previous solution are discarded without
-        optimising their continuous part — and ties resolve to the warm
-        solution, keeping re-planned allocations stable.
+        cannot strictly beat the previous solution are discarded — and ties
+        resolve to the warm solution, keeping re-planned allocations stable.
         """
         start = time.perf_counter()
-        lp_before = self.total_lp_solves
+        rows = self._separable_rows(problem)
         domains = self._integer_domains(problem)
         int_names = list(domains)
         cont_names = [n for n, v in problem.variables.items() if not v.is_integral]
@@ -101,12 +132,8 @@ class ExhaustiveSolver:
         for combo in itertools.product(*(domains[name] for name in int_names)):
             checked += 1
             assignment = {name: float(v) for name, v in zip(int_names, combo)}
-            if len(cont_names) == 1:
-                full = self._optimise_single_continuous(problem, assignment, cont_names[0])
-                if full is None:
-                    continue
-            elif cont_names:
-                full = self._optimise_continuous(problem, assignment, cont_names)
+            if cont_names:
+                full = self._optimise_continuous(problem, assignment, rows, cont_names)
                 if full is None:
                     continue
             else:
@@ -119,116 +146,66 @@ class ExhaustiveSolver:
                 best_values = dict(full)
 
         elapsed = time.perf_counter() - start
-        lp_solves = self.total_lp_solves - lp_before
         if best_values is None:
-            return MILPSolution(
-                status=SolveStatus.INFEASIBLE, solve_time_s=elapsed, lp_solves=lp_solves
-            )
+            return MILPSolution(status=SolveStatus.INFEASIBLE, solve_time_s=elapsed)
         return MILPSolution(
             status=SolveStatus.OPTIMAL,
             objective=best_obj,
             values=best_values,
             nodes_explored=checked,
             solve_time_s=elapsed,
-            lp_solves=lp_solves,
             warm_start_used=warm_used,
         )
 
-    def _optimise_single_continuous(
-        self, problem: MILPProblem, fixed: Dict[str, float], cont_name: str
+    @staticmethod
+    def _optimise_continuous(
+        problem: MILPProblem,
+        fixed: Dict[str, float],
+        rows: List[_Row],
+        cont_names: List[str],
     ) -> Optional[Dict[str, float]]:
-        """Closed-form optimum over one continuous variable, integrals fixed.
+        """Closed-form optimum over the continuous variables, integrals fixed.
 
-        Each constraint reduces to a one-sided (or two-sided, for equalities)
-        bound on the variable; a linear objective over an interval is
-        maximised at an endpoint.
+        Each row is a one-sided (or, for an equality, two-sided) bound on its
+        continuous variable, or a feasibility check when it has none; each
+        variable's linear objective term peaks at an endpoint of its interval.
         """
-        var = problem.variables[cont_name]
-        lo = var.lower
-        hi = np.inf if var.upper is None else var.upper
-        for con in problem.constraints:
-            a = con.coefficients.get(cont_name, 0.0)
-            const = sum(
-                coeff * fixed[name]
-                for name, coeff in con.coefficients.items()
-                if name != cont_name
-            )
-            rhs = con.rhs - const
-            if a == 0.0:
-                if con.sense == Sense.LE and const > con.rhs + _TOL:
+        lower: Dict[str, float] = {}
+        upper: Dict[str, float] = {}
+        for name in cont_names:
+            var = problem.variables[name]
+            lower[name] = var.lower
+            upper[name] = np.inf if var.upper is None else var.upper
+        for terms, cont, a, sense, con_rhs in rows:
+            const = sum(coeff * fixed[name] for name, coeff in terms)
+            if cont is None:
+                if sense == Sense.LE and const > con_rhs + _TOL:
                     return None
-                if con.sense == Sense.GE and const < con.rhs - _TOL:
+                if sense == Sense.GE and const < con_rhs - _TOL:
                     return None
-                if con.sense == Sense.EQ and abs(const - con.rhs) > _TOL:
+                if sense == Sense.EQ and abs(const - con_rhs) > _TOL:
                     return None
                 continue
-            if con.sense == Sense.EQ:
-                pinned = rhs / a
-                lo = max(lo, pinned)
-                hi = min(hi, pinned)
-            elif (con.sense == Sense.LE) == (a > 0.0):
-                hi = min(hi, rhs / a)
+            bound = (con_rhs - const) / a
+            if sense == Sense.EQ:
+                lower[cont] = max(lower[cont], bound)
+                upper[cont] = min(upper[cont], bound)
+            elif (sense == Sense.LE) == (a > 0.0):
+                upper[cont] = min(upper[cont], bound)
             else:
-                lo = max(lo, rhs / a)
-        if lo > hi:
-            if lo > hi + _TOL:
-                return None
-            lo = hi = (lo + hi) / 2.0  # degenerate interval within tolerance
-        coeff = problem.objective.get(cont_name, 0.0)
-        if not np.isfinite(hi) and coeff > 0:
-            return None  # unbounded objective for this assignment
-        value = hi if coeff > 0 else lo
-        if not np.isfinite(value):
-            value = lo if np.isfinite(lo) else 0.0
+                lower[cont] = max(lower[cont], bound)
         full = dict(fixed)
-        full[cont_name] = float(min(max(value, lo), hi))
-        return full
-
-    def _optimise_continuous(
-        self, problem: MILPProblem, fixed: Dict[str, float], cont_names: List[str]
-    ) -> Optional[Dict[str, float]]:
-        """LP over the continuous variables with the integral ones fixed."""
-        index = {name: i for i, name in enumerate(cont_names)}
-        c = np.zeros(len(cont_names))
-        for name, coeff in problem.objective.items():
-            if name in index:
-                c[index[name]] = -coeff
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for con in problem.constraints:
-            row = np.zeros(len(cont_names))
-            const = 0.0
-            for name, coeff in con.coefficients.items():
-                if name in index:
-                    row[index[name]] = coeff
-                else:
-                    const += coeff * fixed[name]
-            rhs = con.rhs - const
-            if con.sense == Sense.LE:
-                A_ub.append(row)
-                b_ub.append(rhs)
-            elif con.sense == Sense.GE:
-                A_ub.append(-row)
-                b_ub.append(-rhs)
-            else:
-                A_eq.append(row)
-                b_eq.append(rhs)
-        bounds = [
-            (problem.variables[n].lower, problem.variables[n].upper) for n in cont_names
-        ]
-        self.total_lp_solves += 1
-        result = linprog(
-            c=c,
-            A_ub=np.vstack(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.vstack(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
-            return None
-        full = dict(fixed)
-        full.update({name: float(v) for name, v in zip(cont_names, result.x)})
-        if not problem.is_feasible(full, tol=1e-5):
-            return None
+        for name in cont_names:
+            lo, hi = lower[name], upper[name]
+            if lo > hi:
+                if lo > hi + _TOL:
+                    return None
+                lo = hi = (lo + hi) / 2.0  # degenerate interval within tolerance
+            coeff = problem.objective.get(name, 0.0)
+            if not np.isfinite(hi) and coeff > 0:
+                return None  # unbounded objective for this assignment
+            value = hi if coeff > 0 else lo
+            if not np.isfinite(value):
+                value = lo if np.isfinite(lo) else 0.0
+            full[name] = float(min(max(value, lo), hi))
         return full

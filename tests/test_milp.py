@@ -218,15 +218,44 @@ def test_solver_counts_lp_relaxations():
 
 # --------------------------------------------- exhaustive closed-form path
 def test_exhaustive_single_continuous_runs_without_lps():
-    solver = ExhaustiveSolver()
     problem = fraction_problem(8.0, S=6)
-    solution = solver.solve(problem)
+    solution = ExhaustiveSolver().solve(problem)
     reference = BranchAndBoundSolver().solve(problem)
     assert solution.is_optimal
     assert solution.objective == pytest.approx(reference.objective)
     assert solution.lp_solves == 0
-    assert solver.total_lp_solves == 0
     assert problem.is_feasible(solution.values, tol=1e-6)
+
+
+def test_exhaustive_rejects_coupled_continuous_variables():
+    p = MILPProblem("coupled")
+    p.add_integer("x", lower=0, upper=2)
+    p.add_continuous("u", lower=0.0, upper=1.0)
+    p.add_continuous("v", lower=0.0, upper=1.0)
+    p.set_objective({"u": 1.0, "v": 1.0})
+    p.add_le({"u": 1.0, "v": 1.0, "x": -0.5}, 0.5, name="shared")
+    with pytest.raises(ValueError, match="couples u, v") as excinfo:
+        ExhaustiveSolver().solve(p)
+    assert "\n" not in str(excinfo.value)
+
+
+def test_exhaustive_separable_continuous_variables_without_lps():
+    # The allocator's reload shape: f in the heavy row, and one reload
+    # variable per pool, each bounded by its own r >= x - prev row.
+    p = fraction_problem(6.0, S=6)
+    for x_name, r_name, prev in (("x1", "r1", 2.0), ("x2", "r2", 3.0)):
+        p.add_continuous(r_name, lower=0.0, upper=6.0)
+        p.add_ge({r_name: 1.0, x_name: -1.0}, -prev, name=f"reload[{x_name}]")
+    p.set_objective({"f": 1.0, "r1": -0.03, "r2": -0.07})
+    solution = ExhaustiveSolver().solve(p)
+    reference = BranchAndBoundSolver().solve(p)
+    assert solution.is_optimal and reference.is_optimal
+    assert solution.lp_solves == 0
+    assert solution.objective == pytest.approx(reference.objective, abs=1e-9)
+    assert p.is_feasible(solution.values, tol=1e-9)
+    # Each reload variable sits at its tight value max(0, x - prev).
+    assert solution.values["r1"] == max(0.0, solution.values["x1"] - 2.0)
+    assert solution.values["r2"] == max(0.0, solution.values["x2"] - 3.0)
 
 
 def test_exhaustive_single_continuous_equality_pin():

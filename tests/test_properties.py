@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocator import (
+    EXHAUSTIVE_SEARCH_LIMIT,
+    AllocationPlan,
+    ControlContext,
+    DiffServeAllocator,
+)
+from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.core.demand import DemandEstimator
+from repro.core.pricing import PriceTrace
 from repro.core.queueing import LittlesLawModel
 from repro.discriminators.deferral import DeferralProfile
 from repro.metrics.accumulators import P2Quantile
@@ -314,6 +322,87 @@ def test_branch_and_bound_matches_exhaustive_on_random_milps(seed):
     assert bnb.is_optimal == exh.is_optimal
     if bnb.is_optimal:
         assert bnb.objective == pytest.approx(exh.objective, abs=1e-6)
+
+
+#: Footprints no catalog class can co-place (20 + 70 GB > 80 GB), so every
+#: class carries a reload cost and reload-aware problems get ``r`` rows; the
+#: 24 GB classes host the light variant only.
+_CONTENDED = ResourceConfig.from_weights({"sd-turbo": 20.0, "sd-v1.5": 70.0})
+
+
+@st.composite
+def _allocator_problem_inputs(draw):
+    """A control context plus batch pair whose per-pair MILP the allocator
+    sends to the exhaustive solver (search space under the limit)."""
+    if draw(st.booleans()):
+        fleet = FleetSpec.homogeneous(draw(st.integers(min_value=1, max_value=7)))
+    else:
+        names = draw(
+            st.lists(st.sampled_from(["a100", "h100", "l4", "t4"]), min_size=2, max_size=2,
+                     unique=True)
+        )
+        fleet = fleet_from_counts({n: draw(st.integers(1, 3)) for n in names})
+    previous = None
+    if draw(st.booleans()):
+        light, heavy = {}, {}
+        for device, count in fleet.devices:
+            light[device.name] = draw(st.integers(0, count))
+            heavy[device.name] = draw(st.integers(0, count - light[device.name]))
+        previous = AllocationPlan(
+            num_light=sum(light.values()),
+            num_heavy=sum(heavy.values()),
+            light_batch=1,
+            heavy_batch=1,
+            threshold=0.5,
+            light_assignment={k: v for k, v in light.items() if v},
+            heavy_assignment={k: v for k, v in heavy.items() if v},
+        )
+    prices = None
+    if draw(st.booleans()):
+        prices = PriceTrace(
+            spot_classes=tuple(draw(st.sets(st.sampled_from([d.name for d in fleet.classes])))),
+            volatility=draw(st.floats(0.0, 0.9)),
+            seed=draw(st.integers(0, 100)),
+        )
+    ctx = ControlContext(
+        demand=draw(st.floats(0.5, 30.0)),
+        slo=5.0,
+        fleet=fleet,
+        current_plan=previous,
+        resources=_CONTENDED if previous is not None else None,
+        prices=prices,
+        price_time=draw(st.floats(0.0, 600.0)),
+    )
+    batches = st.sampled_from([1, 2, 4, 8, 16])
+    return ctx, draw(batches), draw(batches), draw(st.floats(0.5, 30.0))
+
+
+@given(inputs=_allocator_problem_inputs())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_closed_form_matches_branch_and_bound_on_allocator_problems(
+    inputs, cascade1, deferral_profile, trained_discriminator
+):
+    """The LP-free exhaustive solver finds branch-and-bound's optimum on every
+    per-pair MILP the allocator routes to it: typed fleets, reload rows and
+    spot-price tie-breaks included."""
+    ctx, b1, b2, demand = inputs
+    allocator = DiffServeAllocator(
+        cascade1.light,
+        cascade1.heavy,
+        deferral_profile,
+        discriminator_latency=trained_discriminator.latency_s,
+    )
+    problem = allocator.build_problem(ctx, b1, b2, demand)
+    exhaustive = ExhaustiveSolver()
+    size = exhaustive.search_space(problem)
+    assume(size is not None and size <= EXHAUSTIVE_SEARCH_LIMIT)
+    closed = exhaustive.solve(problem)
+    bnb = BranchAndBoundSolver().solve(problem)
+    assert closed.lp_solves == 0
+    assert closed.is_optimal == bnb.is_optimal
+    if closed.is_optimal:
+        assert abs(closed.objective - bnb.objective) <= 1e-9
+        assert problem.is_feasible(closed.values, tol=1e-9)
 
 
 # --------------------------------------------- event queue lazy compaction

@@ -2,8 +2,8 @@
 
 Covers the :class:`~repro.core.replanner.ReplanController` loop (static /
 periodic / adaptive policies), the allocator's warm-started solve path
-(incumbent seeding, relaxation-bound pruning, exhaustive fallback), and the
-wiring through :func:`~repro.core.system.build_diffserve_system`.
+(incumbent seeding, relaxation-bound pruning, size-based solver choice), and
+the wiring through :func:`~repro.core.system.build_diffserve_system`.
 """
 
 import json
@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import allocator as allocator_module
 from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.replanner import REPLAN_POLICIES, ReplanConfig
 from repro.core.system import build_diffserve_system
@@ -44,8 +45,6 @@ def test_build_diffserve_system_replan_wiring(
         replan_policy="adaptive",
     )
     assert system.replan == ReplanConfig(epoch=2.5, policy="adaptive")
-    # Re-planning systems enable the small-instance exhaustive fallback.
-    assert system.policy.allocator.exhaustive_cutoff > 0
 
     # Either flag alone enables the control plane with sensible defaults.
     system = build_diffserve_system(
@@ -67,7 +66,6 @@ def test_build_diffserve_system_replan_wiring(
         deferral_profile=deferral_profile,
     )
     assert plain.replan is None
-    assert plain.policy.allocator.exhaustive_cutoff == 0
 
 
 # ------------------------------------------------------------ warm starts
@@ -128,31 +126,51 @@ def test_warm_start_repairs_infeasible_previous_split(
 
 
 def test_exhaustive_fallback_solves_small_clusters_without_lps(
-    cascade1, deferral_profile, trained_discriminator
+    cascade1, deferral_profile, trained_discriminator, monkeypatch
 ):
-    with_fallback = DiffServeAllocator(
-        cascade1.light,
-        cascade1.heavy,
-        deferral_profile,
-        discriminator_latency=trained_discriminator.latency_s,
-        exhaustive_cutoff=64,
-    )
-    without = DiffServeAllocator(
-        cascade1.light,
-        cascade1.heavy,
-        deferral_profile,
-        discriminator_latency=trained_discriminator.latency_s,
-    )
+    def fresh():
+        return DiffServeAllocator(
+            cascade1.light,
+            cascade1.heavy,
+            deferral_profile,
+            discriminator_latency=trained_discriminator.latency_s,
+        )
+
+    closed_form, reference_alloc = fresh(), fresh()
     for demand in (2.0, 5.0, 8.0):
-        small = with_fallback.plan(_ctx(demand, cascade1.slo, workers=4))
-        reference = without.plan(_ctx(demand, cascade1.slo, workers=4))
+        small = closed_form.plan(_ctx(demand, cascade1.slo, workers=4))
+        # A zero search limit sends every pair to branch-and-bound.
+        with monkeypatch.context() as patch:
+            patch.setattr(allocator_module, "EXHAUSTIVE_SEARCH_LIMIT", 0)
+            reference = reference_alloc.plan(_ctx(demand, cascade1.slo, workers=4))
         assert small.threshold == reference.threshold
         assert small.feasible == reference.feasible
-    # Every pair solve fit under the cutoff: branch-and-bound never ran and
-    # the closed-form exhaustive path solved zero LPs.
-    assert with_fallback.solver.total_lp_solves == 0
-    assert with_fallback.exhaustive_solver.total_lp_solves == 0
-    assert without.solver.total_lp_solves > 0
+    # Every pair solve fit under the limit: branch-and-bound never ran.
+    assert closed_form.solver.total_lp_solves == 0
+    assert reference_alloc.solver.total_lp_solves > 0
+
+
+def test_plain_small_cluster_plans_without_branch_and_bound(
+    coco_dataset, trained_discriminator
+):
+    # No replanner attached: the solver choice depends on problem size alone,
+    # so a 4-worker cluster's every per-pair MILP is enumerated LP-free.
+    system = build_diffserve_system(
+        "sdturbo",
+        num_workers=4,
+        dataset=coco_dataset,
+        discriminator=trained_discriminator,
+        control_period=2.0,
+    )
+    assert system.replan is None
+    workload = make_workload(
+        "flash-crowd", duration=24.0, qps=4.0, qps_range=(2.0, 8.0), seed=0
+    )
+    system.initial_demand = workload.mean_rate()
+    system.run(workload.sample(RandomStreams(0)))
+    allocator = system.policy.allocator
+    assert allocator.cold_solves >= 10
+    assert allocator.solver.total_lp_solves == 0
 
 
 # ------------------------------------------------------------- epoch loop
