@@ -20,6 +20,7 @@ Two halves, mirroring the contention benchmark's correctness/speed split:
 
 import time
 
+from repro.core.config import FleetSpec
 from repro.core.system import ClientSource, build_diffserve_system
 from repro.experiments import chaos
 from repro.experiments.study import run_study
@@ -38,7 +39,7 @@ def _events_per_second(faults):
     """Events fired per wall second for one flash-crowd run."""
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=N_WORKERS,
+        fleet=FleetSpec.homogeneous(N_WORKERS),
         dataset_size=300,
         seed=0,
         replan_epoch=3.0,

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from repro.core.allocator import ControlContext
+from repro.core.config import FleetSpec
 from repro.core.policies import make_diffserve_policy
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.drift_adaptation import run_drift_adaptation
@@ -47,7 +48,7 @@ def _resolve_sequence(allocator, demands, slo, *, warm):
     plan = None
     start = time.perf_counter()
     for demand in demands:
-        ctx = ControlContext(demand=float(demand), slo=slo, num_workers=16)
+        ctx = ControlContext(demand=float(demand), slo=slo, fleet=FleetSpec.homogeneous(16))
         plan = allocator.plan(ctx, warm_start=plan if warm else None)
         plans.append(plan)
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ Run with:  python examples/custom_cascade.py
 import numpy as np
 
 from repro.core.allocator import DiffServeAllocator
-from repro.core.config import RoutingMode, SystemConfig
+from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.policies import DiffServePolicy
 from repro.core.system import ServingSimulation
 from repro.discriminators.deferral import DeferralProfile
@@ -64,7 +64,9 @@ def main() -> None:
     profile = DeferralProfile.profile(discriminator, dataset, my_light, seed=7)
 
     # 3. Assemble the system by hand (allocator -> policy -> simulation).
-    config = SystemConfig(cascade=cascade, num_workers=12, routing=RoutingMode.CASCADE, seed=7)
+    config = SystemConfig(
+        cascade=cascade, fleet=FleetSpec.homogeneous(12), routing=RoutingMode.CASCADE, seed=7
+    )
     allocator = DiffServeAllocator(
         my_light, my_heavy, profile, discriminator_latency=discriminator.latency_s
     )

@@ -12,6 +12,7 @@ Run with:  python examples/milp_allocation_demo.py
 import numpy as np
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.discriminators.deferral import DeferralProfile
 from repro.discriminators.training import train_default_discriminator
 from repro.experiments.harness import format_table
@@ -28,9 +29,10 @@ def main() -> None:
         cascade.light, cascade.heavy, profile, discriminator_latency=discriminator.latency_s
     )
 
+    fleet = FleetSpec.homogeneous(16)
     rows = []
     for demand in np.linspace(2, 32, 11):
-        ctx = ControlContext(demand=float(demand), slo=cascade.slo, num_workers=16,
+        ctx = ControlContext(demand=float(demand), slo=cascade.slo, fleet=fleet,
                              observed_deferral=0.4)
         plan = allocator.plan(ctx)
         rows.append(

@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import build_diffserve_system
+from repro import FleetSpec, build_diffserve_system
 from repro.traces import azure_functions_like_rate
 from repro.traces.base import ArrivalTrace
 
@@ -18,7 +18,7 @@ from repro.traces.base import ArrivalTrace
 def main() -> None:
     # 1. Build the system: dataset, discriminator and MILP allocator are all
     #    constructed behind this single call.
-    system = build_diffserve_system("sdturbo", num_workers=16, dataset_size=1000)
+    system = build_diffserve_system("sdturbo", fleet=FleetSpec.homogeneous(16), dataset_size=1000)
 
     # 2. Generate a workload: a diurnal trace rescaled to 4-32 queries/second,
     #    like the paper's trace_4to32qps file.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.allocator import AllocationPlan, ControlContext
-from repro.core.config import FleetSpec, ResourceConfig, RoutingMode, SystemConfig
+from repro.core.config import DEFAULT_FLEET, FleetSpec, ResourceConfig, RoutingMode, SystemConfig
 from repro.core.policies import AllocationPolicy
 from repro.core.system import ServingSimulation
 from repro.models.dataset import QueryDataset, load_dataset
@@ -55,7 +55,7 @@ class ClipperPolicy(AllocationPolicy):
         # The allocation is static; a warm start carries no information.
         batch = _largest_safe_batch(self.variant, ctx.slo, self.batch_candidates, self.headroom)
         return AllocationPlan(
-            num_light=ctx.num_workers,
+            num_light=ctx.fleet.total_workers,
             num_heavy=0,
             light_batch=batch,
             heavy_batch=1,
@@ -70,8 +70,7 @@ def build_clipper_system(
     cascade_name: str = "sdturbo",
     which: str = "light",
     *,
-    fleet: Optional[FleetSpec] = None,
-    num_workers: int = 16,
+    fleet: FleetSpec = DEFAULT_FLEET,
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     resources: Optional[ResourceConfig] = None,
@@ -80,11 +79,7 @@ def build_clipper_system(
     seed: int = 0,
     dataset_size: int = 1000,
 ) -> ServingSimulation:
-    """Build Clipper-Light (``which="light"``) or Clipper-Heavy (``which="heavy"``).
-
-    ``fleet`` selects a typed device fleet; ``num_workers`` remains as a
-    deprecated homogeneous-cluster shim.
-    """
+    """Build Clipper-Light (``which="light"``) or Clipper-Heavy (``which="heavy"``)."""
     if which not in ("light", "heavy"):
         raise ValueError("which must be 'light' or 'heavy'")
     cascade = get_cascade(cascade_name)
@@ -93,7 +88,6 @@ def build_clipper_system(
     variant = cascade.light if which == "light" else cascade.heavy
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.SINGLE,

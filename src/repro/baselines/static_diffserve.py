@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.allocator import AllocationPlan, ControlContext, DiffServeAllocator
-from repro.core.config import FleetSpec, ResourceConfig, RoutingMode, SystemConfig
+from repro.core.config import DEFAULT_FLEET, FleetSpec, ResourceConfig, RoutingMode, SystemConfig
 from repro.core.policies import AllocationPolicy
 from repro.core.system import ServingSimulation
 from repro.discriminators.base import Discriminator
@@ -55,8 +55,7 @@ def build_diffserve_static_system(
     cascade_name: str = "sdturbo",
     *,
     anticipated_peak_qps: float,
-    fleet: Optional[FleetSpec] = None,
-    num_workers: int = 16,
+    fleet: FleetSpec = DEFAULT_FLEET,
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     discriminator: Optional[Discriminator] = None,
@@ -81,7 +80,6 @@ def build_diffserve_static_system(
 
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.CASCADE,

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import DeviceClass, FleetSpec, ResourceConfig, warn_num_workers_alias
+from repro.core.config import DEFAULT_DEVICE_CLASS, DeviceClass, FleetSpec, ResourceConfig
 from repro.core.pricing import PriceTrace
 from repro.core.queueing import LittlesLawModel, QueueingModel
 from repro.discriminators.deferral import DeferralProfile
@@ -134,16 +134,14 @@ class AllocationPlan:
 class ControlContext:
     """Runtime statistics the Controller feeds into the allocator.
 
-    ``fleet`` is the typed device fleet the plan must fit; ``num_workers`` is
-    accepted as a deprecated alias for a homogeneous baseline-class fleet and
-    always reads back as ``fleet.total_workers``.  Fleet validation happens
-    in :class:`~repro.core.config.FleetSpec` (the single validation site).
+    ``fleet`` is the typed device fleet the plan must fit.  Fleet validation
+    happens in :class:`~repro.core.config.FleetSpec` (the single validation
+    site).
     """
 
     demand: float
     slo: float
-    fleet: Optional[FleetSpec] = None
-    num_workers: Optional[int] = None
+    fleet: FleetSpec
     light_queue_length: float = 0.0
     heavy_queue_length: float = 0.0
     observed_deferral: Optional[float] = None
@@ -169,14 +167,6 @@ class ControlContext:
             raise ValueError("demand must be non-negative")
         if self.slo <= 0:
             raise ValueError("slo must be positive")
-        if self.fleet is None:
-            if self.num_workers is None:
-                raise ValueError(
-                    "ControlContext requires a fleet (or the deprecated num_workers alias)"
-                )
-            warn_num_workers_alias()
-            self.fleet = FleetSpec.homogeneous(int(self.num_workers))
-        self.num_workers = self.fleet.total_workers
 
 
 class DiffServeAllocator:
@@ -260,17 +250,17 @@ class DiffServeAllocator:
         self.threshold_grid = self._build_threshold_grid()
 
     # --------------------------------------------------------------- latency
-    def _light_execution(self, batch: int, device: Optional[DeviceClass] = None) -> float:
+    def _light_execution(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
         profile = variant_profile(self.light, device)
         return profile.latency(batch) + self.discriminator_latency * batch
 
-    def _heavy_execution(self, batch: int, device: Optional[DeviceClass] = None) -> float:
+    def _heavy_execution(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
         return variant_profile(self.heavy, device).latency(batch)
 
-    def _light_throughput(self, batch: int, device: Optional[DeviceClass] = None) -> float:
+    def _light_throughput(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
         return variant_profile(self.light, device).throughput(batch)
 
-    def _heavy_throughput(self, batch: int, device: Optional[DeviceClass] = None) -> float:
+    def _heavy_throughput(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
         return variant_profile(self.heavy, device).throughput(batch)
 
     # ---------------------------------------------------------- device classes

@@ -4,8 +4,9 @@ The hardware model is a typed **fleet**: a :class:`FleetSpec` names how many
 devices of each :class:`DeviceClass` the cluster has.  Every layer above —
 latency profiles, the MILP allocator, the Controller, the runner's cache keys
 — indexes by device class, so mixed A100/H100/L4 clusters are first-class.
-Homogeneous configurations remain the default: ``num_workers=N`` is a
-deprecated alias for a fleet of ``N`` devices of the baseline class.
+A fleet is the only way to size a cluster: ``FleetSpec.homogeneous(N)`` is
+``N`` devices of the baseline class, and :data:`DEFAULT_FLEET` (the paper's
+16 A100s) is the default everywhere a fleet may be omitted.
 
 Fleet validation lives in exactly one place — :meth:`FleetSpec.__post_init__`
 (reached from every constructor, including :func:`fleet_from_counts`) — and
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -113,7 +113,8 @@ DEVICE_CLASSES: Dict[str, DeviceClass] = {
                       cost_per_hour=0.15, transfer_gbps=4.0),
 }
 
-#: The class homogeneous (``num_workers=N``) configurations expand to.
+#: The class :meth:`FleetSpec.homogeneous` fleets (and hand-built workers)
+#: default to.
 DEFAULT_DEVICE_CLASS = DEVICE_CLASSES["a100"]
 
 
@@ -240,29 +241,9 @@ def fleet_from_counts(counts: Mapping[str, int], *, drop_zero: bool = False) -> 
     )
 
 
-#: Set once the first ``num_workers=`` alias warning has been emitted; the
-#: alias is used on nearly every legacy call site, so warning once per
-#: process keeps the signal without drowning test output.
-_NUM_WORKERS_ALIAS_WARNED = False
-
-
-def warn_num_workers_alias() -> None:
-    """Emit the ``num_workers=`` deprecation warning (once per process).
-
-    Call sites that expand a bare worker count into a homogeneous fleet
-    (``SystemConfig`` and ``ControlContext``) route through here; tests reset
-    ``_NUM_WORKERS_ALIAS_WARNED`` to observe the warning deterministically.
-    """
-    global _NUM_WORKERS_ALIAS_WARNED
-    if _NUM_WORKERS_ALIAS_WARNED:
-        return
-    _NUM_WORKERS_ALIAS_WARNED = True
-    warnings.warn(
-        "num_workers= is a deprecated alias for fleet=FleetSpec.homogeneous(n); "
-        "pass a FleetSpec instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: The paper's testbed (16 A100s, Section 4.1): the cluster every system
+#: builder and :class:`SystemConfig` serve on unless given a fleet.
+DEFAULT_FLEET = FleetSpec.homogeneous(16)
 
 
 # --------------------------------------------------------------------------
@@ -466,10 +447,6 @@ class SystemConfig:
     ----------
     cascade:
         The light/heavy diffusion model pair being served.
-    num_workers:
-        Deprecated alias for a homogeneous fleet of baseline-class devices
-        (the paper's testbed has 16 A100s).  After construction this always
-        equals ``fleet.total_workers``.
     slo:
         Latency SLO in seconds (defaults to the cascade's paper SLO).
     routing:
@@ -479,44 +456,27 @@ class SystemConfig:
     over_provision:
         Over-provisioning factor ``lambda`` applied to the estimated demand
         (1.05 by default per Section 3.3).
-    drop_late_queries:
-        Whether workers preemptively drop queries predicted to miss their
-        deadline.
-    worker_reload_latency:
-        Time to load a different model variant onto a baseline-class worker
-        (seconds); each device class scales it by its ``reload_factor``.
-    monitoring_window:
-        Length of the statistics window the Controller aggregates over.
     seed:
         Root random seed for the simulation.
     fleet:
-        The typed device fleet.  ``None`` expands ``num_workers`` into a
-        homogeneous baseline-class fleet; when given, it wins and
-        ``num_workers`` is overwritten with its total.
+        The typed device fleet (default :data:`DEFAULT_FLEET`, the paper's
+        16 A100s).
     resources:
         Multi-resource worker model (:class:`ResourceConfig`).  ``None``
         keeps the legacy compute + scalar-reload model bit-for-bit.
     """
 
     cascade: CascadeSpec
-    num_workers: int = 16
     slo: Optional[float] = None
     routing: RoutingMode = RoutingMode.CASCADE
     control_period: float = 5.0
     over_provision: float = 1.05
-    drop_late_queries: bool = True
-    worker_reload_latency: float = 0.5
-    monitoring_window: float = 20.0
     seed: int = 0
-    fleet: Optional[FleetSpec] = field(default=None)
+    fleet: FleetSpec = DEFAULT_FLEET
     resources: Optional[ResourceConfig] = field(default=None)
 
     def __post_init__(self) -> None:
         # Fleet validation (including worker counts) lives in FleetSpec.
-        if self.fleet is None:
-            warn_num_workers_alias()
-            self.fleet = FleetSpec.homogeneous(self.num_workers)
-        self.num_workers = self.fleet.total_workers
         if self.resources is not None:
             if not isinstance(self.resources, ResourceConfig):
                 raise ValueError("resources must be a ResourceConfig or None")
@@ -529,7 +489,3 @@ class SystemConfig:
             raise ValueError("control_period must be positive")
         if self.over_provision < 1.0:
             raise ValueError("over_provision must be >= 1.0")
-        if self.worker_reload_latency < 0:
-            raise ValueError("worker_reload_latency must be non-negative")
-        if self.monitoring_window <= 0:
-            raise ValueError("monitoring_window must be positive")

@@ -82,15 +82,11 @@ class Controller(Actor):
         #: every fleet transition is validated against.  With autoscaling the
         #: simulation pre-provisions spares beyond ``config.fleet``, so this
         #: can exceed the initial active fleet.
-        if workers and all(w.device is not None for w in workers):
-            self.built_fleet: FleetSpec = FleetSpec(
-                devices=tuple(
-                    (group[0].device, len(group))
-                    for group in self._workers_by_class.values()
-                )
+        self.built_fleet: FleetSpec = FleetSpec(
+            devices=tuple(
+                (group[0].device, len(group)) for group in self._workers_by_class.values()
             )
-        else:
-            self.built_fleet = config.fleet
+        )
         #: The fleet size the autoscaler currently *wants* (may exceed the
         #: healthy fleet mid-fault); repairs re-apply ``min(target, healthy)``
         #: per class.  Without an autoscaler this stays the configured fleet,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 
 from repro.core.autoscaler import Autoscaler, ScalePolicy
 from repro.core.config import (
-    DEFAULT_DEVICE_CLASS,
+    DEFAULT_FLEET,
     FleetSpec,
     ResourceConfig,
     RoutingMode,
@@ -218,11 +218,12 @@ class SystemRuntime:
     """A fully wired serving system whose event loop the caller drives.
 
     :meth:`ServingSimulation.run` is the one-shot driver; the shard
-    supervisor instead :meth:`inject`s routed queries epoch by epoch and
-    :meth:`advance`s to each barrier, which fires exactly the same events in
-    exactly the same order as a straight run (events are totally ordered by
-    ``(time, priority, seq)`` and arrival times are continuous draws, so
-    slicing the loop at barriers cannot reorder anything).
+    supervisor instead feeds routed queries through :meth:`inject_batch`
+    epoch by epoch and :meth:`advance`s to each barrier, which fires exactly
+    the same events in exactly the same order as a straight run (events are
+    totally ordered by ``(time, priority, seq)`` and arrival times are
+    continuous draws, so slicing the loop at barriers cannot reorder
+    anything).
     """
 
     sim: Simulator
@@ -235,26 +236,13 @@ class SystemRuntime:
     name: str
     feeder: ArrivalFeeder
 
-    def inject(self, queries: Sequence[Query]) -> None:
-        """Schedule fully formed queries as future arrivals.
-
-        The per-query compatibility path (one closure per arrival); bulk
-        callers should prefer :meth:`inject_batch`.  Arrival times must lie
-        at or after the current clock — the epoch protocol guarantees this by
-        injecting epoch ``k``'s queries before advancing into epoch ``k``.
-        """
-        submit = self.load_balancer.submit
-        schedule_at = self.sim.schedule_at
-        for query in queries:
-            schedule_at(query.arrival_time, lambda q=query: submit(q), name="arrival")
-
     def inject_batch(self, batch: QueryBatch) -> None:
         """Schedule a column-oriented batch of routed arrivals, lazily.
 
         The batch's arrays go to the runtime's :class:`ArrivalFeeder`, which
         materializes ``Query`` objects one chunk at a time as the clock
-        reaches them — observation-equivalent to :meth:`inject` with the
-        fully formed query list, at O(chunk) live objects.
+        reaches them — observation-equivalent to scheduling each fully formed
+        query as its own arrival event, at O(chunk) live objects.
         """
         if len(batch):
             self.feeder.feed(batch.ids, batch.times, batch.slos)
@@ -414,15 +402,14 @@ class ServingSimulation:
                 if self.config.resources is not None:
                     # Each device owns its transfer channel and residency set
                     # (the per-device-class transfer_gbps/memory_gb budgets).
-                    spec = device if device is not None else DEFAULT_DEVICE_CLASS
                     resources = WorkerResources(
                         config=self.config.resources,
                         channel=BandwidthChannel(
                             sim,
-                            capacity_gbps=spec.transfer_gbps,
+                            capacity_gbps=device.transfer_gbps,
                             name=f"worker-{len(workers)}-xfer",
                         ),
-                        residency=ResidencySet(capacity_gb=spec.memory_gb),
+                        residency=ResidencySet(capacity_gb=device.memory_gb),
                     )
                 workers.append(
                     Worker(
@@ -433,8 +420,6 @@ class ServingSimulation:
                         discriminator=self.discriminator
                         if self.config.routing == RoutingMode.CASCADE
                         else None,
-                        drop_late=self.config.drop_late_queries,
-                        reload_latency=self.config.worker_reload_latency,
                         device=device,
                         resources=resources,
                     )
@@ -552,8 +537,7 @@ class ServingSimulation:
 def build_diffserve_system(
     cascade_name: str = "sdturbo",
     *,
-    num_workers: int = 16,
-    fleet: Optional["FleetSpec"] = None,
+    fleet: FleetSpec = DEFAULT_FLEET,
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     discriminator: Optional[Discriminator] = None,
@@ -579,9 +563,9 @@ def build_diffserve_system(
     ``policy_variant`` to select one of the Section 4.5 ablations
     (``"static-threshold"``, ``"aimd"``, ``"no-queueing"``).
 
-    ``fleet`` selects a typed (possibly heterogeneous) device fleet; it wins
-    over the deprecated ``num_workers`` alias, which keeps meaning a
-    homogeneous baseline-class cluster.
+    ``fleet`` selects a typed (possibly heterogeneous) device fleet; the
+    default is the paper's 16-A100 testbed
+    (:data:`~repro.core.config.DEFAULT_FLEET`).
 
     ``replan_epoch`` / ``replan_policy`` enable the online re-planning control
     plane: the epoch defaults to ``control_period`` and the policy to
@@ -622,7 +606,6 @@ def build_diffserve_system(
 
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.CASCADE,

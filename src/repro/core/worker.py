@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 
-from repro.core.config import DeviceClass
+from repro.core.config import DEFAULT_DEVICE_CLASS, DeviceClass
 from repro.core.query import Query
 from repro.core.resources import WorkerResources
 from repro.discriminators.base import Discriminator
@@ -87,6 +87,9 @@ class Worker(Actor):
     time is drawn from the variant's latency profile; light workers add the
     discriminator's per-image latency.  Queries predicted to miss their
     deadline are dropped at dequeue time when ``drop_late`` is enabled.
+    ``reload_latency`` is the time to load a different variant onto a
+    baseline-class device; the worker's device class scales it by its
+    ``reload_factor``.
     """
 
     def __init__(
@@ -100,7 +103,7 @@ class Worker(Actor):
         discriminator: Optional[Discriminator] = None,
         drop_late: bool = True,
         reload_latency: float = 0.5,
-        device: Optional[DeviceClass] = None,
+        device: DeviceClass = DEFAULT_DEVICE_CLASS,
         resources: Optional[WorkerResources] = None,
         on_complete: Optional[Callable[[WorkItem, GeneratedImage, Optional[float]], None]] = None,
         on_drop: Optional[Callable[[WorkItem], None]] = None,
@@ -112,11 +115,10 @@ class Worker(Actor):
         self.batch_size = batch_size
         self.discriminator = discriminator
         self.drop_late = drop_late
-        #: The device class this worker's GPU belongs to (``None`` = the
-        #: baseline class the zoo profiles were measured on).  Execution
-        #: latency and model reloads scale with the class.
+        #: The device class this worker's GPU belongs to.  Execution latency
+        #: and model reloads scale with the class.
         self.device = device
-        self.reload_latency = reload_latency * (device.reload_factor if device else 1.0)
+        self.reload_latency = reload_latency * device.reload_factor
         #: Multi-resource state (``None`` = the legacy reload model).
         self.resources = resources
         self.on_complete = on_complete
@@ -193,10 +195,8 @@ class Worker(Actor):
 
     @property
     def device_name(self) -> str:
-        """Device-class name of this worker's GPU (baseline when untyped)."""
-        from repro.core.config import DEFAULT_DEVICE_CLASS
-
-        return self.device.name if self.device is not None else DEFAULT_DEVICE_CLASS.name
+        """Device-class name of this worker's GPU."""
+        return self.device.name
 
     # ----------------------------------------------------------- control path
     def set_batch_size(self, batch_size: int) -> None:

@@ -3,10 +3,10 @@
 The paper measures the average runtime of the Gurobi MILP solve at ~10 ms and
 notes that it never sits on the critical path of query serving.  This module
 measures the runtime of one full allocation solve across demand levels on a
-16-worker cluster, whose per-pair MILPs exceed the allocator's exhaustive
-search limit and so run on branch-and-bound.  It then re-solves each chosen
-pair's MILP with both branch-and-bound and the closed-form exhaustive solver
-and checks that their optima agree.
+``scale.num_workers`` cluster; the default 16-worker cluster's per-pair MILPs
+exceed the allocator's exhaustive search limit and so run on branch-and-bound.
+It then re-solves each chosen pair's MILP with both branch-and-bound and the
+closed-form exhaustive solver and checks that their optima agree.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
 from repro.milp.branch_and_bound import BranchAndBoundSolver
@@ -55,11 +56,14 @@ def run_milp_overhead(
     scale: ExperimentScale = BENCH_SCALE,
     *,
     demands: Optional[Sequence[float]] = None,
-    num_workers: int = 16,
     slo: Optional[float] = None,
     check_exhaustive: bool = True,
 ) -> MILPOverheadResult:
-    """Measure allocation solve times across demand levels."""
+    """Measure allocation solve times across demand levels.
+
+    The cluster is ``scale.num_workers`` baseline-class devices; the default
+    demand sweep runs from 2 QPS up to 2 QPS per worker.
+    """
     cascade = get_cascade(cascade_name)
     slo = slo if slo is not None else cascade.slo
     dataset = cached_dataset(cascade.dataset, scale.dataset_size, scale.seed)
@@ -74,8 +78,9 @@ def run_milp_overhead(
         discriminator_latency=discriminator.latency_s,
     )
 
+    fleet = FleetSpec.homogeneous(scale.num_workers)
     if demands is None:
-        demands = np.linspace(2.0, 2.0 * num_workers, 9)
+        demands = np.linspace(2.0, 2.0 * scale.num_workers, 9)
 
     result = MILPOverheadResult()
     exhaustive = ExhaustiveSolver()
@@ -83,7 +88,7 @@ def run_milp_overhead(
         ctx = ControlContext(
             demand=float(demand),
             slo=slo,
-            num_workers=num_workers,
+            fleet=fleet,
             observed_deferral=0.4,
         )
         plan = allocator.plan(ctx)

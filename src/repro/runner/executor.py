@@ -103,12 +103,12 @@ def resolve_workload(spec: ExperimentSpec):
     from repro.workloads import cascade_qps_range, make_workload
 
     topology = spec.resolve_geo()
-    num_workers = spec.scale.num_workers if topology is None else topology.total_workers
+    cluster_size = spec.scale.num_workers if topology is None else topology.total_workers
     return make_workload(
         spec.trace.kind,
         duration=spec.scale.trace_duration,
         qps=spec.trace.qps,
-        qps_range=cascade_qps_range(spec.cascade, num_workers),
+        qps_range=cascade_qps_range(spec.cascade, cluster_size),
         seed=spec.scale.seed,
         params=spec.trace.params_dict(),
     )

@@ -518,9 +518,9 @@ class ExperimentGrid:
 
         Either pass explicit ``scales`` or a ``base_scale`` plus ``seeds`` to
         vary only the seed.  Each ``fleets`` entry is a ``{class: count}``
-        mapping (``None`` keeps the homogeneous ``num_workers`` cluster); each
-        ``geos`` entry a topology name / JSON (``None`` keeps the
-        single-cluster path).  ``shards`` applies to every cell — it is an
+        mapping (``None`` keeps the homogeneous ``scale.num_workers``
+        cluster); each ``geos`` entry a topology name / JSON (``None`` keeps
+        the single-cluster path).  ``shards`` applies to every cell — it is an
         execution knob, not a studied dimension, so it does not fan out.
         ``resources`` attaches the multi-resource worker model to every cell
         (``"default"`` or the ``--resources`` JSON form; ``None`` keeps the

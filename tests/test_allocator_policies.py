@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.allocator import AllocationPlan, ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.core.policies import (
     AIMDBatchState,
     AIMDBatchingPolicy,
@@ -15,7 +16,7 @@ from repro.milp.branch_and_bound import BranchAndBoundSolver
 
 
 def ctx(demand, *, slo=5.0, workers=16, **kwargs):
-    return ControlContext(demand=demand, slo=slo, num_workers=workers, **kwargs)
+    return ControlContext(demand=demand, slo=slo, fleet=FleetSpec.homogeneous(workers), **kwargs)
 
 
 # ------------------------------------------------------------------------ plan
@@ -32,9 +33,9 @@ def test_allocation_plan_validation():
 
 def test_control_context_validation():
     with pytest.raises(ValueError):
-        ControlContext(demand=-1.0, slo=5.0, num_workers=16)
+        ControlContext(demand=-1.0, slo=5.0, fleet=FleetSpec.homogeneous(16))
     with pytest.raises(ValueError):
-        ControlContext(demand=1.0, slo=0.0, num_workers=16)
+        ControlContext(demand=1.0, slo=0.0, fleet=FleetSpec.homogeneous(16))
 
 
 # ------------------------------------------------------------------- allocator

@@ -5,18 +5,20 @@ check that each experiment runs, produces sane structures, and preserves the
 headline qualitative findings at reduced scale.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments import fig1_motivation, fig1_pareto, milp_overhead, reuse_study
 from repro.experiments.cascade_eval import CascadeEvaluator
 from repro.experiments.harness import (
-    DEFAULT_QPS_RANGE,
     ExperimentScale,
     default_trace,
     format_table,
     shared_components,
 )
+from repro.workloads import DEFAULT_QPS_RANGE
 
 SMALL = ExperimentScale(dataset_size=200, trace_duration=90.0, num_workers=16)
 
@@ -106,6 +108,23 @@ def test_milp_overhead_fast_and_consistent():
     assert len(result.thresholds) == 3
     # Threshold falls (weakly) as demand rises.
     assert result.thresholds[0] >= result.thresholds[-1] - 1e-9
+
+
+def test_milp_overhead_sizes_the_cluster_from_the_scale(monkeypatch):
+    plans = []
+    plan = milp_overhead.DiffServeAllocator.plan
+
+    def recording_plan(self, ctx, **kwargs):
+        plans.append(plan(self, ctx, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(milp_overhead.DiffServeAllocator, "plan", recording_plan)
+    result = milp_overhead.run_milp_overhead(scale=replace(SMALL, num_workers=4))
+    assert result.demands[0] == 2.0
+    assert result.demands[-1] == 8.0
+    feasible = [p for p in plans if p.feasible]
+    assert feasible
+    assert all(p.total_workers <= 4 for p in feasible)
 
 
 # ----------------------------------------------------------------- reuse study

@@ -10,16 +10,15 @@ surfaces that move residency from plans onto workers.
 import pytest
 
 from repro.core.allocator import AllocationPlan, ControlContext
-from repro.core.config import ResourceConfig, fleet_from_counts
+from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.experiments import contention
 
 
-def _ctx(allocator, *, fleet=None, num_workers=4, resources=None, current_plan=None, demand=2.0):
+def _ctx(allocator, *, fleet=None, resources=None, current_plan=None, demand=2.0):
     return ControlContext(
         demand=demand,
         slo=5.0,
-        fleet=fleet,
-        num_workers=None if fleet is not None else num_workers,
+        fleet=fleet or FleetSpec.homogeneous(4),
         current_plan=current_plan,
         resources=resources,
     )
@@ -170,7 +169,7 @@ def test_controller_applies_residency_to_workers(cascade1):
 
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset_size=60,
         seed=0,
         resources=ResourceConfig.default(),

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import allocator as allocator_module
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.core.replanner import REPLAN_POLICIES, ReplanConfig
 from repro.core.system import build_diffserve_system
 from repro.simulator.rng import RandomStreams
@@ -37,7 +38,7 @@ def test_build_diffserve_system_replan_wiring(
 ):
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -49,7 +50,7 @@ def test_build_diffserve_system_replan_wiring(
     # Either flag alone enables the control plane with sensible defaults.
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -60,7 +61,7 @@ def test_build_diffserve_system_replan_wiring(
 
     plain = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -70,7 +71,7 @@ def test_build_diffserve_system_replan_wiring(
 
 # ------------------------------------------------------------ warm starts
 def _ctx(demand, slo, workers=16):
-    return ControlContext(demand=float(demand), slo=slo, num_workers=workers)
+    return ControlContext(demand=float(demand), slo=slo, fleet=FleetSpec.homogeneous(workers))
 
 
 def test_warm_started_resolves_match_cold_thresholds(
@@ -157,7 +158,7 @@ def test_plain_small_cluster_plans_without_branch_and_bound(
     # so a 4-worker cluster's every per-pair MILP is enumerated LP-free.
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         control_period=2.0,
@@ -192,7 +193,7 @@ def _run_system(
     del deferral_profile  # profiled fresh (deterministically) per system
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         seed=seed,
@@ -269,7 +270,7 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
     # balancer's arrival history (that would bias the demand estimate low).
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
