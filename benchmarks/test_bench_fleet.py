@@ -5,9 +5,10 @@ Two gates:
 * Typed fleets stay cheap to plan for: cold-solving the per-device-class
   MILP over a demand ramp on a mixed 16-worker fleet costs at most 2x the
   homogeneous 16-worker solve — in wall-clock time and in LP relaxations
-  solved (the deterministic cost model).  In practice the class-eligibility
-  pruning makes the heterogeneous sweep *cheaper*, so the 2x bound guards
-  against per-class variables blowing up branch-and-bound.
+  solved (the deterministic cost model), both on branch-and-bound.  In
+  practice the class-eligibility pruning makes the heterogeneous sweep
+  *cheaper*, so the 2x bound guards against per-class variables blowing up
+  branch-and-bound.
 * Heterogeneity pays at equal cost: in the ``repro fleet`` study at least
   one mixed fleet matches or Pareto-dominates the homogeneous all-A100
   reference on FID and SLO-violation ratio under at least one workload —
@@ -19,6 +20,7 @@ import time
 
 import numpy as np
 
+from repro.core import allocator as allocator_module
 from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.discriminators.deferral import DeferralProfile
@@ -63,18 +65,23 @@ def _cold_sweep(allocator, fleet, slo):
     return elapsed, lp_solves
 
 
-def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scale):
+def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scale, monkeypatch):
     homo_alloc, cascade = _fresh_allocator(bench_scale)
     het_alloc, _ = _fresh_allocator(bench_scale)
     slo = cascade.slo
 
-    homo_s, homo_lps = _cold_sweep(homo_alloc, FleetSpec.homogeneous(16), slo)
-    het_s, het_lps = benchmark.pedantic(
-        _cold_sweep,
-        args=(het_alloc, fleet_from_counts(MIXED_16), slo),
-        iterations=1,
-        rounds=1,
-    )
+    # Both sweeps pinned to branch-and-bound (a zero search limit): at
+    # runtime the homogeneous 16-worker problems are enumerated LP-free,
+    # while MIXED_16's 50,625 assignments stay on branch-and-bound.
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator_module, "EXHAUSTIVE_SEARCH_LIMIT", 0)
+        homo_s, homo_lps = _cold_sweep(homo_alloc, FleetSpec.homogeneous(16), slo)
+        het_s, het_lps = benchmark.pedantic(
+            _cold_sweep,
+            args=(het_alloc, fleet_from_counts(MIXED_16), slo),
+            iterations=1,
+            rounds=1,
+        )
 
     assert homo_lps > 0
     # The deterministic gate: per-class variables must not explode the search.

@@ -21,9 +21,10 @@ configurations reproduce pre-fleet allocation decisions bit-for-bit.
 empirical, piecewise-constant function, so the threshold is discretised onto
 a grid and selected with binary variables inside a MILP solved per candidate
 ``(b1, b2)`` pair.  The paper uses Gurobi; here each per-pair MILP goes to a
-solver from :mod:`repro.milp` picked by its size alone: closed-form
+solver from :mod:`repro.milp` picked by its size alone: LP-free closed-form
 enumeration when the integral search space is at most
-:data:`EXHAUSTIVE_SEARCH_LIMIT` assignments, branch-and-bound otherwise.
+:data:`EXHAUSTIVE_SEARCH_LIMIT` assignments (every problem the canonical
+homogeneous clusters emit), branch-and-bound otherwise.
 """
 
 from __future__ import annotations
@@ -51,14 +52,18 @@ THRESHOLD_LEVELS = 21
 
 #: Largest integral search space a per-pair MILP may have to be solved by
 #: closed-form enumeration (:class:`~repro.milp.exhaustive.ExhaustiveSolver`);
-#: larger ones go to branch-and-bound.  64 covers homogeneous clusters of up
-#: to 7 workers (``S * (S + 1)`` assignments).  Enumeration costs about 5 us
-#: per assignment against 1.5-8 ms per branch-and-bound solve, so the
-#: measured crossover is several hundred assignments.  The limit stays at 64
-#: because with 272-assignment (16-worker) problems enumerated, the warm
-#: re-planning benchmark's 3x warm-vs-cold wall-clock gate no longer holds
-#: with margin (its worst pair measured exactly 3.0x).
-EXHAUSTIVE_SEARCH_LIMIT = 64
+#: larger ones go to branch-and-bound.  Sized from measured problems: the
+#: canonical workloads emit at most 342 assignments (8 workers per region:
+#: 72; 16 workers: 272), so 1,024 leaves 3x headroom and covers homogeneous
+#: fleets of up to 31 workers (``S * (S + 1)`` assignments).  Measured per
+#: solve on a 2-CPU x86 VM (Python 3.11, NumPy 2.4, SciPy 1.17), enumeration
+#: is flat at 0.1-0.16 ms up to 4k assignments, then grows with the grid
+#: (1.3 ms at 16k, 6.7 ms at 50,625, 54 ms at 531k); branch-and-bound costs
+#: 2-6 ms on homogeneous and 10-35 ms on typed fleets, so the crossover is
+#: about 10^5 assignments.  Below the limit enumeration is always >= 10x
+#: cheaper; above it (e.g. the 50,625-assignment a100:8,h100:4,l4:4 fleet)
+#: branch-and-bound keeps the per-solve cost bounded as typed fleets grow.
+EXHAUSTIVE_SEARCH_LIMIT = 1024
 
 
 @dataclass
@@ -215,6 +220,7 @@ class DiffServeAllocator:
             raise ValueError("price_penalty must be non-negative")
         self.price_penalty = price_penalty
         self.threshold_grid = self._build_threshold_grid()
+        self._stage_memo: Dict[Tuple[int, float], Tuple[float, float, float, float]] = {}
         self.last_solve_time_s: float = 0.0
         self.solve_times: List[float] = []
         # Warm-start telemetry (read by the re-planner and the benchmarks).
@@ -250,18 +256,38 @@ class DiffServeAllocator:
         self.threshold_grid = self._build_threshold_grid()
 
     # --------------------------------------------------------------- latency
+    def _stage_profile(self, batch: int, device: DeviceClass) -> Tuple[float, float, float, float]:
+        """(light execution, heavy execution, light throughput, heavy
+        throughput) at ``batch`` on ``device``.
+
+        Pure functions of the frozen variants, the batch size and the device
+        class's speed factor (all :func:`variant_profile` reads of a device),
+        memoized because every plan sweeps them once per candidate batch pair.
+        """
+        key = (batch, device.speed_factor)
+        stats = self._stage_memo.get(key)
+        if stats is None:
+            light = variant_profile(self.light, device)
+            heavy = variant_profile(self.heavy, device)
+            stats = self._stage_memo[key] = (
+                light.latency(batch) + self.discriminator_latency * batch,
+                heavy.latency(batch),
+                light.throughput(batch),
+                heavy.throughput(batch),
+            )
+        return stats
+
     def _light_execution(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
-        profile = variant_profile(self.light, device)
-        return profile.latency(batch) + self.discriminator_latency * batch
+        return self._stage_profile(batch, device)[0]
 
     def _heavy_execution(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
-        return variant_profile(self.heavy, device).latency(batch)
+        return self._stage_profile(batch, device)[1]
 
     def _light_throughput(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
-        return variant_profile(self.light, device).throughput(batch)
+        return self._stage_profile(batch, device)[2]
 
     def _heavy_throughput(self, batch: int, device: DeviceClass = DEFAULT_DEVICE_CLASS) -> float:
-        return variant_profile(self.heavy, device).throughput(batch)
+        return self._stage_profile(batch, device)[3]
 
     # ---------------------------------------------------------- device classes
     def _fits(
@@ -308,11 +334,17 @@ class DiffServeAllocator:
         return light, heavy
 
     def _eligible_classes(
-        self, ctx: ControlContext, b1: int, b2: int, demand: float
+        self,
+        ctx: ControlContext,
+        b1: int,
+        b2: int,
+        demand: float,
+        hostable: Tuple[List[DeviceClass], List[DeviceClass]],
     ) -> Tuple[List[DeviceClass], List[DeviceClass]]:
         """Classes allowed to host each stage for a fixed batch pair.
 
-        Starts from memory-fitting classes whose per-stage execution latency
+        Starts from the memory-fitting ``hostable`` classes (see
+        :meth:`_hostable_classes`) whose per-stage execution latency
         fits the SLO, then enforces the end-to-end latency budget (Eq. 1) on
         the *worst-case* cascade path: while the slowest light-eligible plus
         slowest heavy-eligible class blow the budget, the slowest class of
@@ -322,7 +354,7 @@ class DiffServeAllocator:
         the pre-fleet behaviour.  Either returned list may be empty (the
         pair is infeasible).
         """
-        light, heavy = self._hostable_classes(ctx.fleet, ctx.resources)
+        light, heavy = hostable
         light = [d for d in light if self._light_execution(b1, d) <= ctx.slo]
         heavy = [d for d in heavy if self._heavy_execution(b2, d) <= ctx.slo]
         deferral_guess = ctx.observed_deferral if ctx.observed_deferral is not None else 0.3
@@ -672,10 +704,11 @@ class DiffServeAllocator:
         latency budget can be optimal.
         """
         allocations: List[Tuple[int, int, List[DeviceClass], List[DeviceClass]]] = []
+        hostable = self._hostable_classes(ctx.fleet, ctx.resources)
         for b1 in sorted(self.batch_candidates, reverse=True):
             best_b2: Optional[Tuple[int, List[DeviceClass], List[DeviceClass]]] = None
             for b2 in self.batch_candidates:
-                light, heavy = self._eligible_classes(ctx, b1, b2, demand)
+                light, heavy = self._eligible_classes(ctx, b1, b2, demand, hostable)
                 if light and heavy and (best_b2 is None or b2 > best_b2[0]):
                     best_b2 = (b2, light, heavy)
             if best_b2 is not None:

@@ -4,9 +4,10 @@ The paper measures the average runtime of the Gurobi MILP solve at ~10 ms and
 notes that it never sits on the critical path of query serving.  This module
 measures the runtime of one full allocation solve across demand levels on a
 ``scale.num_workers`` cluster; the default 16-worker cluster's per-pair MILPs
-exceed the allocator's exhaustive search limit and so run on branch-and-bound.
-It then re-solves each chosen pair's MILP with both branch-and-bound and the
-closed-form exhaustive solver and checks that their optima agree.
+(272 assignments) fit the allocator's exhaustive search limit and so are
+enumerated in closed form, with no LP.  It then re-solves each chosen pair's
+MILP with both branch-and-bound and the closed-form exhaustive solver and
+checks that their optima agree.
 """
 
 from __future__ import annotations

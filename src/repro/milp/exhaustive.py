@@ -10,14 +10,21 @@ allocator's ``fraction`` formulation is separable: ``f`` sits only in the
 heavy-throughput row and each reload variable ``r[c]`` only in its own
 ``r[c] >= x[c] - prev`` row.  Non-separable problems are rejected on entry.
 
+The enumeration is one NumPy pass per chunk of the integral grid: each
+integral variable is a column, each separable row turns into per-assignment
+interval bounds (or a feasibility mask), and the objective is a vector whose
+first maximum wins.  Rows come out in :func:`itertools.product` order and
+every sum is accumulated term by term in the problem's own order, so the
+result is bit-for-bit what a per-assignment loop computes.  On a 2-CPU VM one
+solve of the allocator's 16-worker problem (272 assignments) takes about
+0.1 ms, against 2-6 ms for branch-and-bound.
+
 The allocator routes every per-pair MILP whose integral search space is at
-most :data:`repro.core.allocator.EXHAUSTIVE_SEARCH_LIMIT` here; the tests and
-the Section 4.5 overhead study use it to cross-check branch-and-bound.
+most :data:`repro.core.allocator.EXHAUSTIVE_SEARCH_LIMIT` here.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -29,9 +36,15 @@ from scipy.optimize import linprog  # noqa: F401
 from repro.milp.problem import MILPProblem, Sense
 from repro.milp.solution import MILPSolution, SolveStatus
 
-#: Feasibility slack used when reducing constraints on a continuous variable
-#: (matches the tolerance of :meth:`MILPProblem.is_feasible` checks).
+#: Integral assignments evaluated per NumPy pass, so peak memory does not grow
+#: with ``max_combinations``.
+CHUNK_ROWS = 65_536
+
+#: Feasibility slack used when reducing constraints on a continuous variable.
 _TOL = 1e-9
+#: Feasibility slack of a problem with no continuous variable (the default
+#: tolerance of :meth:`MILPProblem.is_feasible`).
+_INTEGRAL_TOL = 1e-6
 
 #: One constraint split for the closed form: its integral terms, the one
 #: continuous variable it bounds (``None`` for a pure feasibility check) and
@@ -48,8 +61,9 @@ class ExhaustiveSolver:
             raise ValueError("max_combinations must be >= 1")
         self.max_combinations = max_combinations
 
-    def _integer_domains(self, problem: MILPProblem) -> Dict[str, List[int]]:
-        domains: Dict[str, List[int]] = {}
+    def _integer_domains(self, problem: MILPProblem) -> Dict[str, Tuple[int, int]]:
+        """``(lowest value, domain size)`` of every integral variable."""
+        domains: Dict[str, Tuple[int, int]] = {}
         for name, var in problem.variables.items():
             if not var.is_integral:
                 continue
@@ -58,8 +72,7 @@ class ExhaustiveSolver:
                     f"exhaustive solver requires bounded integer variables; {name!r} is unbounded"
                 )
             lo = int(np.ceil(var.lower))
-            hi = int(np.floor(var.upper))
-            domains[name] = list(range(lo, hi + 1))
+            domains[name] = (lo, max(int(np.floor(var.upper)) - lo + 1, 0))
         return domains
 
     @staticmethod
@@ -105,16 +118,15 @@ class ExhaustiveSolver:
         A feasible ``warm_start`` seeds the running best, so assignments that
         cannot strictly beat the previous solution are discarded — and ties
         resolve to the warm solution, keeping re-planned allocations stable.
+        Among assignments that tie for the best, the first in
+        :func:`itertools.product` order wins, across chunks too.
         """
         start = time.perf_counter()
         rows = self._separable_rows(problem)
         domains = self._integer_domains(problem)
-        int_names = list(domains)
-        cont_names = [n for n, v in problem.variables.items() if not v.is_integral]
-
         total = 1
-        for values in domains.values():
-            total *= len(values)
+        for _, size in domains.values():
+            total *= size
         if total > self.max_combinations:
             raise ValueError(
                 f"search space too large for exhaustive solver ({total} combinations)"
@@ -128,22 +140,19 @@ class ExhaustiveSolver:
             best_obj = problem.objective_value(seeded)
             best_values = seeded
 
-        checked = 0
-        for combo in itertools.product(*(domains[name] for name in int_names)):
-            checked += 1
-            assignment = {name: float(v) for name, v in zip(int_names, combo)}
-            if cont_names:
-                full = self._optimise_continuous(problem, assignment, rows, cont_names)
-                if full is None:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for begin in range(0, total, CHUNK_ROWS):
+                columns = self._grid_chunk(domains, begin, min(begin + CHUNK_ROWS, total))
+                values, feasible = self._optimise_continuous(problem, rows, columns)
+                obj = np.zeros(len(feasible))
+                for name, coeff in problem.objective.items():
+                    obj = obj + coeff * values[name]
+                better = feasible & (obj > best_obj)
+                if not better.any():
                     continue
-            else:
-                if not problem.is_feasible(assignment):
-                    continue
-                full = assignment
-            obj = problem.objective_value(full)
-            if obj > best_obj:
-                best_obj = obj
-                best_values = dict(full)
+                pick = int(np.argmax(np.where(better, obj, -np.inf)))
+                best_obj = float(obj[pick])
+                best_values = {name: float(column[pick]) for name, column in values.items()}
 
         elapsed = time.perf_counter() - start
         if best_values is None:
@@ -152,60 +161,83 @@ class ExhaustiveSolver:
             status=SolveStatus.OPTIMAL,
             objective=best_obj,
             values=best_values,
-            nodes_explored=checked,
+            nodes_explored=total,
             solve_time_s=elapsed,
             warm_start_used=warm_used,
         )
 
     @staticmethod
-    def _optimise_continuous(
-        problem: MILPProblem,
-        fixed: Dict[str, float],
-        rows: List[_Row],
-        cont_names: List[str],
-    ) -> Optional[Dict[str, float]]:
-        """Closed-form optimum over the continuous variables, integrals fixed.
+    def _grid_chunk(
+        domains: Mapping[str, Tuple[int, int]], begin: int, end: int
+    ) -> Dict[str, np.ndarray]:
+        """Rows ``begin:end`` of the integral grid, one float column per
+        variable, in :func:`itertools.product` order (last variable fastest)."""
+        if not domains:
+            return {}
+        digits = np.unravel_index(
+            np.arange(begin, end), tuple(size for _, size in domains.values())
+        )
+        return {
+            name: (lo + digit).astype(float)
+            for (name, (lo, _)), digit in zip(domains.items(), digits)
+        }
 
-        Each row is a one-sided (or, for an equality, two-sided) bound on its
-        continuous variable, or a feasibility check when it has none; each
-        variable's linear objective term peaks at an endpoint of its interval.
+    @staticmethod
+    def _optimise_continuous(
+        problem: MILPProblem, rows: List[_Row], columns: Dict[str, np.ndarray]
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """Closed-form optimum over the continuous variables for every row of
+        the grid: ``(value column per variable, feasibility mask)``.
+
+        Each constraint is a one-sided (or, for an equality, two-sided) bound
+        on its continuous variable, or a feasibility check when it has none;
+        each variable's linear objective term peaks at an endpoint of its
+        interval.  ``np.where`` stands in for :func:`max`/:func:`min` so that
+        ties keep the same operand (and the same signed zero) they would.
         """
-        lower: Dict[str, float] = {}
-        upper: Dict[str, float] = {}
+        n = len(next(iter(columns.values()))) if columns else 1
+        cont_names = [name for name, var in problem.variables.items() if not var.is_integral]
+        tol = _TOL if cont_names else _INTEGRAL_TOL
+        feasible = np.ones(n, dtype=bool)
+        lower: Dict[str, np.ndarray] = {}
+        upper: Dict[str, np.ndarray] = {}
         for name in cont_names:
             var = problem.variables[name]
-            lower[name] = var.lower
-            upper[name] = np.inf if var.upper is None else var.upper
+            lower[name] = np.full(n, float(var.lower))
+            upper[name] = np.full(n, np.inf if var.upper is None else float(var.upper))
         for terms, cont, a, sense, con_rhs in rows:
-            const = sum(coeff * fixed[name] for name, coeff in terms)
+            const = np.zeros(n)
+            for name, coeff in terms:
+                const = const + coeff * columns[name]
             if cont is None:
-                if sense == Sense.LE and const > con_rhs + _TOL:
-                    return None
-                if sense == Sense.GE and const < con_rhs - _TOL:
-                    return None
-                if sense == Sense.EQ and abs(const - con_rhs) > _TOL:
-                    return None
+                if sense == Sense.LE:
+                    feasible &= ~(const > con_rhs + tol)
+                elif sense == Sense.GE:
+                    feasible &= ~(const < con_rhs - tol)
+                else:
+                    feasible &= ~(np.abs(const - con_rhs) > tol)
                 continue
             bound = (con_rhs - const) / a
-            if sense == Sense.EQ:
-                lower[cont] = max(lower[cont], bound)
-                upper[cont] = min(upper[cont], bound)
-            elif (sense == Sense.LE) == (a > 0.0):
-                upper[cont] = min(upper[cont], bound)
-            else:
-                lower[cont] = max(lower[cont], bound)
-        full = dict(fixed)
+            if sense == Sense.EQ or (sense == Sense.LE) != (a > 0.0):
+                lower[cont] = np.where(bound > lower[cont], bound, lower[cont])
+            if sense == Sense.EQ or (sense == Sense.LE) == (a > 0.0):
+                upper[cont] = np.where(bound < upper[cont], bound, upper[cont])
+        values = dict(columns)
         for name in cont_names:
             lo, hi = lower[name], upper[name]
-            if lo > hi:
-                if lo > hi + _TOL:
-                    return None
-                lo = hi = (lo + hi) / 2.0  # degenerate interval within tolerance
+            crossed = lo > hi
+            if crossed.any():
+                feasible &= ~(lo > hi + _TOL)
+                mid = (lo + hi) / 2.0  # degenerate interval within tolerance
+                lo = np.where(crossed, mid, lo)
+                hi = np.where(crossed, mid, hi)
             coeff = problem.objective.get(name, 0.0)
-            if not np.isfinite(hi) and coeff > 0:
-                return None  # unbounded objective for this assignment
-            value = hi if coeff > 0 else lo
-            if not np.isfinite(value):
-                value = lo if np.isfinite(lo) else 0.0
-            full[name] = float(min(max(value, lo), hi))
-        return full
+            if coeff > 0:
+                feasible &= np.isfinite(hi)  # else the objective is unbounded
+                value = hi
+            else:
+                value = lo
+            value = np.where(np.isfinite(value), value, np.where(np.isfinite(lo), lo, 0.0))
+            value = np.where(lo > value, lo, value)
+            values[name] = np.where(hi < value, hi, value)
+        return values, feasible

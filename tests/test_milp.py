@@ -1,8 +1,14 @@
 """Tests for the MILP toolkit (problem construction and both solvers)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from milp_oracle import reference_solve
 
+from repro.milp import exhaustive
 from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
 from repro.milp.problem import MILPProblem, Variable
@@ -259,12 +265,7 @@ def test_exhaustive_separable_continuous_variables_without_lps():
 
 
 def test_exhaustive_single_continuous_equality_pin():
-    p = MILPProblem("pin")
-    p.add_integer("x", lower=0, upper=3)
-    p.add_continuous("y", lower=0.0, upper=10.0)
-    p.set_objective({"x": 1.0, "y": 1.0})
-    p.add_eq({"y": 2.0, "x": 1.0}, 4.0)  # y = (4 - x) / 2
-    solution = ExhaustiveSolver().solve(p)
+    solution = ExhaustiveSolver().solve(_eq_pin_problem())
     assert solution.is_optimal
     # x=0 gives y=2 (obj 2); x=3 gives y=0.5 (obj 3.5) — the max.
     assert solution.objective == pytest.approx(3.5)
@@ -273,11 +274,7 @@ def test_exhaustive_single_continuous_equality_pin():
 
 
 def test_exhaustive_warm_start_keeps_previous_solution_on_ties():
-    p = MILPProblem("ties")
-    p.add_integer("x", lower=0, upper=4)
-    p.add_integer("y", lower=0, upper=4)
-    p.set_objective({"x": 1.0, "y": 1.0})
-    p.add_le({"x": 1.0, "y": 1.0}, 4.0)
+    p = _tie_problem()
     # Many assignments reach the optimum 4; a feasible warm start at the
     # optimum must be returned verbatim (plan stability under ties).
     warm = {"x": 1.0, "y": 3.0}
@@ -292,3 +289,181 @@ def test_exhaustive_infeasible_warm_start_ignored():
     solution = ExhaustiveSolver().solve(p, warm_start={"x1": 1.0, "x2": 1.0, "f": 1.0})
     assert solution.is_optimal
     assert not solution.warm_start_used
+
+
+# ------------------------------- vectorized enumeration vs per-assignment oracle
+def _same_solution(solution, reference):
+    """Field-for-field agreement, down to value types, signed zeros and key order."""
+    assert solution.status == reference.status
+    assert repr(solution.objective) == repr(reference.objective)
+    assert repr(list(solution.values.items())) == repr(list(reference.values.items()))
+    assert solution.nodes_explored == reference.nodes_explored
+    assert solution.warm_start_used == reference.warm_start_used
+    assert solution.lp_solves == 0
+
+
+def _empty_domain_problem():
+    p = MILPProblem("empty")
+    p.add_integer("x", lower=0, upper=3)
+    p.add_integer("y", lower=0.5, upper=0.7)  # no integer in [0.5, 0.7]
+    p.set_objective({"x": 1.0})
+    return p
+
+
+def _pure_integer_problem():
+    p = knapsack_problem()
+    p.add_ge({"a": 1, "b": 1, "c": 1}, 1)
+    return p
+
+
+def _integral_tolerance_problem():
+    # x = 1 overshoots the row by 5e-7: feasible within the 1e-6 tolerance a
+    # problem with no continuous variable is checked at.
+    p = MILPProblem("tolerance")
+    p.add_integer("x", lower=0, upper=2)
+    p.set_objective({"x": 1.0})
+    p.add_le({"x": 1.0000005}, 1.0)
+    return p
+
+
+def _eq_pin_problem():
+    p = MILPProblem("pin")
+    p.add_integer("x", lower=0, upper=3)
+    p.add_continuous("y", lower=0.0, upper=10.0)
+    p.set_objective({"x": 1.0, "y": 1.0})
+    p.add_eq({"y": 2.0, "x": 1.0}, 4.0)  # y = (4 - x) / 2
+    return p
+
+
+def _unbounded_continuous_problem():
+    # No row caps y, so under its positive objective coefficient every
+    # assignment is unbounded and skipped.
+    p = MILPProblem("unbounded")
+    p.add_integer("x", lower=0, upper=3)
+    p.add_continuous("y", lower=0.0)
+    p.set_objective({"x": 1.0, "y": 1.0})
+    p.add_ge({"y": 1.0, "x": 1.0}, 2.0)
+    return p
+
+
+def _free_below_problem():
+    # z is unbounded below under a negative objective coefficient: it
+    # takes the finite fallback 0; y is capped at 9 - 3x by its own row.
+    p = MILPProblem("free-below")
+    p.add_integer("x", lower=0, upper=3)
+    p.add_continuous("y", lower=0.0)
+    p.add_continuous("z", lower=float("-inf"), upper=5.0)
+    p.set_objective({"x": 0.5, "y": 1.0, "z": -1.0})
+    p.add_le({"y": 1.0, "x": 3.0}, 9.0)
+    p.add_le({"x": -1.0}, -2.0)
+    return p
+
+
+def _tie_problem():
+    # Every assignment on the x + y = 4 diagonal ties at objective 4.
+    p = MILPProblem("ties")
+    p.add_integer("x", lower=0, upper=4)
+    p.add_integer("y", lower=0, upper=4)
+    p.set_objective({"x": 1.0, "y": 1.0})
+    p.add_le({"x": 1.0, "y": 1.0}, 4.0)
+    return p
+
+
+@pytest.mark.parametrize(
+    "build, warm",
+    [
+        (_empty_domain_problem, None),
+        (_pure_integer_problem, None),
+        (_integral_tolerance_problem, None),
+        (_eq_pin_problem, None),
+        (_unbounded_continuous_problem, None),
+        (_free_below_problem, None),
+        (_tie_problem, None),
+        (_tie_problem, {"x": 3.0, "y": 1.0}),  # a warm-start tie
+        (_tie_problem, {"x": 4.0, "y": 4.0}),  # an infeasible warm start
+        (lambda: fraction_problem(9.0, S=6), None),
+    ],
+    ids=["empty-domain", "pure-integer", "integral-tolerance", "eq-pin", "unbounded",
+         "free-below", "tie", "warm-tie", "warm-infeasible", "fraction"],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 3, 65_536])
+def test_vectorized_enumeration_matches_per_assignment_oracle(build, warm, chunk_rows):
+    problem = build()
+    with mock.patch.object(exhaustive, "CHUNK_ROWS", chunk_rows):
+        solution = ExhaustiveSolver().solve(problem, warm_start=warm)
+    _same_solution(solution, reference_solve(problem, warm_start=warm))
+
+
+def test_vectorized_enumeration_named_cases():
+    assert ExhaustiveSolver().solve(_empty_domain_problem()).status == SolveStatus.INFEASIBLE
+    assert ExhaustiveSolver().solve(_unbounded_continuous_problem()).status == (
+        SolveStatus.INFEASIBLE
+    )
+    free = ExhaustiveSolver().solve(_free_below_problem())
+    assert free.values == {"x": 2.0, "y": 3.0, "z": 0.0}
+    assert ExhaustiveSolver().solve(_integral_tolerance_problem()).values == {"x": 1.0}
+
+
+def test_first_maximum_wins_across_a_chunk_boundary():
+    # Grid rows in product order: (x, y) = (0,0) (0,1) ... (0,4) (1,0) ...;
+    # the first optimum (0, 4) is row 4 and the next, (1, 3), row 8.  With
+    # 5-row chunks they fall in different chunks; the earlier one must win.
+    problem = _tie_problem()
+    for chunk_rows in (5, 6, 8, 9):
+        with mock.patch.object(exhaustive, "CHUNK_ROWS", chunk_rows):
+            solution = ExhaustiveSolver().solve(problem)
+        assert solution.values == {"x": 0.0, "y": 4.0}
+        _same_solution(solution, reference_solve(problem))
+
+
+_COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+
+
+@st.composite
+def _separable_problems(draw):
+    """Small separable MILPs with coarse coefficients, so ties, empty
+    domains, unbounded and infeasible assignments all come up often."""
+    p = MILPProblem("generated")
+    ints = []
+    for i in range(draw(st.integers(0, 3))):
+        lo = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+        p.add_integer(f"x{i}", lower=lo, upper=lo + draw(st.sampled_from([0.2, 1.0, 2.0, 3.0])))
+        ints.append(f"x{i}")
+    conts = []
+    for j in range(draw(st.integers(0, 2))):
+        lower = draw(st.sampled_from([0.0, -1.0, float("-inf")]))
+        upper = draw(st.sampled_from([None, 2.0, 5.0]))
+        p.add_continuous(f"u{j}", lower=lower, upper=upper)
+        conts.append(f"u{j}")
+    for _ in range(draw(st.integers(0, 4))):
+        row = {n: draw(_COEFFS) for n in draw(st.lists(st.sampled_from(ints), unique=True))
+               } if ints else {}
+        if conts and draw(st.booleans()):
+            row[draw(st.sampled_from(conts))] = draw(_COEFFS.filter(lambda c: c != 0.0))
+        if not row:
+            continue
+        rhs = draw(st.sampled_from([-2.0, 0.0, 1.0, 2.5, 4.0]))
+        add = draw(st.sampled_from([p.add_le, p.add_ge, p.add_eq]))
+        add(row, rhs)
+    names = ints + conts
+    if names:
+        p.set_objective({n: draw(_COEFFS) for n in draw(st.lists(st.sampled_from(names),
+                                                                    unique=True))})
+    warm = None
+    if names and draw(st.booleans()):
+        warm = {n: draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0])) for n in names}
+    return p, warm
+
+
+@given(case=_separable_problems(), chunk_rows=st.sampled_from([1, 2, 5, 65_536]))
+@settings(max_examples=200, deadline=None)
+def test_vectorized_enumeration_matches_oracle_on_generated_problems(case, chunk_rows):
+    problem, warm = case
+    with mock.patch.object(exhaustive, "CHUNK_ROWS", chunk_rows):
+        solution = ExhaustiveSolver().solve(problem, warm_start=warm)
+        reference = reference_solve(problem, warm_start=warm)
+        _same_solution(solution, reference)
+        if reference.is_optimal and warm is None:
+            # Warm-starting from the optimum itself is a tie the warm side wins.
+            rewarmed = ExhaustiveSolver().solve(problem, warm_start=reference.values)
+            _same_solution(rewarmed, reference_solve(problem, warm_start=reference.values))

@@ -75,7 +75,7 @@ def _ctx(demand, slo, workers=16):
 
 
 def test_warm_started_resolves_match_cold_thresholds(
-    cascade1, deferral_profile, trained_discriminator
+    cascade1, deferral_profile, trained_discriminator, monkeypatch
 ):
     def fresh():
         return DiffServeAllocator(
@@ -85,21 +85,31 @@ def test_warm_started_resolves_match_cold_thresholds(
             discriminator_latency=trained_discriminator.latency_s,
         )
 
-    cold_alloc, warm_alloc = fresh(), fresh()
-    demands = np.linspace(10.0, 28.0, 12)
-    plan = None
-    for demand in demands:
-        cold = cold_alloc.plan(_ctx(demand, cascade1.slo))
-        plan = warm_alloc.plan(_ctx(demand, cascade1.slo), warm_start=plan)
-        assert plan.threshold == cold.threshold
-        assert plan.feasible and cold.feasible
-    assert warm_alloc.warm_start_hits > 0
-    assert warm_alloc.pairs_pruned_by_bound > 0
-    # The first call has no previous plan, so it counts as the one cold solve.
-    assert warm_alloc.warm_solves == len(demands) - 1
-    assert warm_alloc.cold_solves == 1
-    assert cold_alloc.cold_solves == len(demands)
-    # The pruning is the point: warm re-solves pay for fewer LP relaxations.
+    def ramp():
+        cold_alloc, warm_alloc = fresh(), fresh()
+        demands = np.linspace(10.0, 28.0, 12)
+        plan = None
+        for demand in demands:
+            cold = cold_alloc.plan(_ctx(demand, cascade1.slo))
+            plan = warm_alloc.plan(_ctx(demand, cascade1.slo), warm_start=plan)
+            assert plan.threshold == cold.threshold
+            assert plan.feasible and cold.feasible
+        assert warm_alloc.warm_start_hits > 0
+        assert warm_alloc.pairs_pruned_by_bound > 0
+        # The first call has no previous plan, so it counts as the one cold solve.
+        assert warm_alloc.warm_solves == len(demands) - 1
+        assert warm_alloc.cold_solves == 1
+        assert cold_alloc.cold_solves == len(demands)
+        return cold_alloc, warm_alloc
+
+    # The runtime path: 16-worker pair problems are enumerated LP-free.
+    cold_alloc, warm_alloc = ramp()
+    assert cold_alloc.solver.total_lp_solves == warm_alloc.solver.total_lp_solves == 0
+    # Pinned to branch-and-bound (a zero search limit), the pruning is the
+    # point: warm re-solves pay for fewer LP relaxations.
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator_module, "EXHAUSTIVE_SEARCH_LIMIT", 0)
+        cold_alloc, warm_alloc = ramp()
     assert warm_alloc.solver.total_lp_solves < cold_alloc.solver.total_lp_solves
 
 
