@@ -1,11 +1,13 @@
 """Benchmark — metrics-path throughput (summaries/sec, windowed-FID/sec).
 
 The analytics layer is the post-run cost of every grid cell: each figure is a
-reduction over per-query records.  This module builds one synthetic
-50k-record / 250-window result and tracks the columnar pipeline directly:
+reduction over per-query columns.  This module builds one synthetic
+50k-query / 250-window result (fed through the result collector) and tracks
+the columnar pipeline directly:
 
-* ``SimulationResult.summary()`` against a brute-force per-record scan
-  (the pre-columnar implementation) — must be >= 5x faster;
+* ``SimulationResult.summary()`` against a brute-force scan over the
+  per-record oracle (``tests/result_oracle.py``, the pre-columnar
+  implementation) — must be >= 5x faster;
 * streaming ``windowed_fid`` (cumulative GaussianStats + symmetric
   eigendecomposition against cached real moments) against the per-window
   Gaussian-refit + ``sqrtm`` baseline — must be >= 10x faster;
@@ -18,7 +20,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.query import Query, QueryRecord, QueryStage
+from result_oracle import Record, collect
+
+from repro.core.query import Query, QueryStage
 from repro.core.results import SimulationResult
 from repro.metrics.fid import fid_score, windowed_fid, windowed_fid_reference
 from repro.models.dataset import make_coco_like
@@ -35,8 +39,8 @@ MIN_WINDOWED_FID_SPEEDUP = 10.0
 
 
 @pytest.fixture(scope="module")
-def big_result() -> SimulationResult:
-    """A synthetic 50k-record run (drops, violations, both stages)."""
+def big_run():
+    """(records, result): a synthetic 50k-query run (drops, violations, both stages)."""
     rng = np.random.default_rng(0)
     # Paper-scale reference set (5K prompts): the legacy path re-fits this
     # Gaussian on every call / every window, the columnar path fits it once.
@@ -53,26 +57,33 @@ def big_result() -> SimulationResult:
             difficulty=0.5, slo=SLO,
         )
         if stages[i] < 0.08:
-            records.append(QueryRecord(query=query, stage=QueryStage.DROPPED))
+            records.append(Record(query=query, stage=QueryStage.DROPPED))
             continue
         records.append(
-            QueryRecord(
+            Record(
                 query=query,
                 stage=QueryStage.HEAVY if stages[i] < 0.4 else QueryStage.LIGHT,
                 completion_time=float(arrivals[i] + service[i]),
-                model_used="m",
+                variant="m",
                 quality=float(qualities[i]),
                 features=features[i],
                 confidence=0.5,
                 deferred=stages[i] < 0.4,
             )
         )
-    return SimulationResult(records=records, dataset=dataset, slo=SLO, duration=DURATION)
+    result = SimulationResult(
+        cols=collect(dataset, records), dataset=dataset, slo=SLO, duration=DURATION
+    )
+    return records, result
 
 
-def _legacy_summary(result: SimulationResult) -> dict:
+@pytest.fixture(scope="module")
+def big_result(big_run) -> SimulationResult:
+    return big_run[1]
+
+
+def _legacy_summary(records, result: SimulationResult) -> dict:
     """The pre-columnar ``summary()``: fresh per-record scans per metric."""
-    records = result.records
     completed = [r for r in records if not r.dropped]
     dropped = sum(1 for r in records if r.dropped)
     violated = sum(1 for r in completed if r.slo_violated)
@@ -106,9 +117,10 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
-def test_bench_summary_throughput(benchmark, big_result):
+def test_bench_summary_throughput(benchmark, big_run):
+    records, big_result = big_run
     summary = benchmark(big_result.summary)
-    reference = _legacy_summary(big_result)
+    reference = _legacy_summary(records, big_result)
     assert set(summary) == set(reference)
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
@@ -116,7 +128,7 @@ def test_bench_summary_throughput(benchmark, big_result):
         # min-vs-min: both paths judged by their best observed round, which
         # is robust to scheduler noise on shared CI runners.
         best = benchmark.stats["min"]
-        baseline = _best_of(lambda: _legacy_summary(big_result))
+        baseline = _best_of(lambda: _legacy_summary(records, big_result))
         benchmark.extra_info["summaries_per_sec"] = 1.0 / best
         benchmark.extra_info["speedup_vs_per_record"] = baseline / best
         assert baseline / best >= MIN_SUMMARY_SPEEDUP, (
@@ -126,7 +138,7 @@ def test_bench_summary_throughput(benchmark, big_result):
 
 def test_bench_windowed_fid_throughput(benchmark, big_result):
     cols = big_result.cols
-    times = cols.completion[cols.feature_index]
+    times = cols.completion[cols.completed]
     feats = cols.features
     real_moments = big_result.dataset.real_moments
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.baselines.registry import baseline_table_rows, render_baseline_table
 from repro.core.query import QueryStage
+from repro.core.results import STAGE_CODES
 from repro.experiments.harness import default_trace, shared_components
 from repro.experiments.harness import build_comparison_systems
 
@@ -42,13 +43,11 @@ def test_bench_table1_query_awareness_is_behavioural(bench_scale):
     )
 
     def difficulty_gap(result):
-        heavy = [
-            r.query.difficulty for r in result.completed_records if r.stage == QueryStage.HEAVY
-        ]
-        light = [
-            r.query.difficulty for r in result.completed_records if r.stage == QueryStage.LIGHT
-        ]
-        if not heavy or not light:
+        cols = result.cols
+        difficulty = result.dataset.difficulties[cols.query_id % len(result.dataset)]
+        heavy = difficulty[cols.stage == STAGE_CODES[QueryStage.HEAVY]]
+        light = difficulty[cols.stage == STAGE_CODES[QueryStage.LIGHT]]
+        if not len(heavy) or not len(light):
             return 0.0
         return float(np.mean(heavy) - np.mean(light))
 

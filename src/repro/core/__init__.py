@@ -26,7 +26,7 @@ from repro.core.config import (
 from repro.core.controller import Controller
 from repro.core.demand import DemandEstimator
 from repro.core.load_balancer import LoadBalancer
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.core.queueing import QueueingModel, LittlesLawModel, TwoXExecutionModel
 from repro.core.repository import ModelRepository
 from repro.core.results import SimulationResult
@@ -35,7 +35,6 @@ from repro.core.worker import Worker
 
 __all__ = [
     "Query",
-    "QueryRecord",
     "QueryStage",
     "SystemConfig",
     "RoutingMode",

@@ -235,11 +235,17 @@ class Controller(Actor):
         }
 
     def policy_deferral_update(self, threshold: float, observed_fraction: float) -> None:
-        """Blend the observed deferral rate into the policy's deferral profile."""
+        """Blend the observed deferral rate into the policy's deferral profile.
+
+        The corrected profile replaces the allocator's reference; the profile
+        the system was built with (possibly shared) is never mutated.
+        """
         allocator = getattr(self.policy, "allocator", None)
         if allocator is None:
             return
-        allocator.deferral_profile.update_online(threshold, observed_fraction)
+        allocator.deferral_profile = allocator.deferral_profile.update_online(
+            threshold, observed_fraction
+        )
         allocator.refresh_threshold_grid()
 
     def _build_context(self, observed_deferral: Optional[float] = None) -> ControlContext:

@@ -1,10 +1,12 @@
-"""Query and per-query result record types."""
+"""Query types: one arriving query and a column-oriented batch of arrivals.
+
+A query's outcome is a row of :class:`~repro.core.results.ColumnStore`.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -98,45 +100,3 @@ class QueryBatch:
             times=np.empty(0, dtype=float),
             slos=np.empty(0, dtype=float),
         )
-
-
-@dataclass
-class QueryRecord:
-    """The outcome of one query, recorded by the result collector.
-
-    A dropped query has ``completion_time is None`` and ``stage == DROPPED``.
-    """
-
-    query: Query
-    stage: QueryStage
-    completion_time: Optional[float] = None
-    model_used: Optional[str] = None
-    quality: Optional[float] = None
-    features: Optional[np.ndarray] = None
-    confidence: Optional[float] = None
-    deferred: bool = False
-    light_latency: Optional[float] = None
-    #: Recovery requeues this query survived before its terminal record
-    #: (0 outside fault-injection runs).  Latency still spans the *first*
-    #: arrival to the final completion.
-    retries: int = 0
-
-    @property
-    def dropped(self) -> bool:
-        """Whether the query was dropped before completion."""
-        return self.stage == QueryStage.DROPPED
-
-    @property
-    def latency(self) -> Optional[float]:
-        """End-to-end latency (None for dropped queries)."""
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.query.arrival_time
-
-    @property
-    def slo_violated(self) -> bool:
-        """True if the query was dropped or finished after its deadline."""
-        if self.dropped:
-            return True
-        assert self.completion_time is not None
-        return self.completion_time > self.query.deadline

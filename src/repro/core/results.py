@@ -1,21 +1,21 @@
 """Result collection and post-run analysis.
 
-The analytics path is columnar: :class:`ResultCollector` maintains online
-sufficient statistics (O(1) per query) for live metrics while the simulation
-runs, and :class:`SimulationResult` reads every metric — summary scalars,
-latency percentiles, the violation/demand/FID time series — from a
-lazily-built, cached :class:`ColumnStore` of NumPy arrays instead of
-re-scanning ``QueryRecord`` objects per property.
+A query's outcome has one representation: a row of a :class:`ColumnStore`
+of NumPy arrays.  :class:`ResultCollector` appends one row tuple per query
+(and keeps online sufficient statistics, O(1) per query, for live metrics
+while the simulation runs); :meth:`ResultCollector.columns` turns the rows
+into the store, and :class:`SimulationResult` reads every metric — summary
+scalars, latency percentiles, the violation/demand/FID time series — from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
 from repro.metrics.fid import frechet_from_moments, windowed_fid
 from repro.metrics.latency import LatencyStats
@@ -25,6 +25,22 @@ from repro.models.generation import GeneratedImage
 
 #: Integer codes for :class:`QueryStage` in the column store.
 STAGE_CODES = {QueryStage.LIGHT: 0, QueryStage.HEAVY: 1, QueryStage.DROPPED: 2}
+_DROPPED = STAGE_CODES[QueryStage.DROPPED]
+_NAN = float("nan")
+
+#: Layout of one collector row: (column name, dtype) in tuple order.
+ROW_COLUMNS = (
+    ("query_id", np.int64),
+    ("arrival", float),
+    ("deadline", float),
+    ("completion", float),
+    ("stage", np.int8),
+    ("variant", object),
+    ("quality", float),
+    ("confidence", float),
+    ("deferred", bool),
+    ("retries", np.int32),
+)
 
 
 @dataclass
@@ -45,96 +61,63 @@ class ControlSnapshot:
 class ColumnStore:
     """Per-query measurements as parallel NumPy columns.
 
-    One row per query that entered the system, in record order.  Dropped
-    queries carry NaN completion/latency/quality.  Feature vectors exist only
-    for completed queries that returned an image; ``feature_index`` maps those
-    rows of ``features`` back to record indices.
+    One row per query that entered the system, in the order the collector
+    saw each query's terminal ``complete``/``drop``.  Dropped queries carry
+    NaN completion/latency/quality/confidence and a ``None`` variant.  Every
+    completed query returned an image, so ``features`` holds exactly one row
+    per completed row, in row order.
     """
 
+    query_id: np.ndarray  # int64
     arrival: np.ndarray  # float, arrival time
     deadline: np.ndarray  # float, absolute SLO deadline
     completion: np.ndarray  # float, NaN for dropped queries
     stage: np.ndarray  # int8 STAGE_CODES
+    variant: np.ndarray  # object, variant name (None for dropped queries)
     quality: np.ndarray  # float, NaN where unknown
     confidence: np.ndarray  # float, NaN where absent
     deferred: np.ndarray  # bool
     retries: np.ndarray  # int32, requeues this query survived (0 = none)
-    features: np.ndarray  # (n_feat, d) float
-    feature_index: np.ndarray  # int, record index of each features row
+    features: np.ndarray  # (n_completed, d) float
 
     @classmethod
-    def from_records(cls, records: List[QueryRecord], feature_dim: int) -> "ColumnStore":
-        """Build the columns with one pass over a record list."""
-        n = len(records)
-        arrival = np.empty(n)
-        deadline = np.empty(n)
-        completion = np.full(n, np.nan)
-        stage = np.empty(n, dtype=np.int8)
-        quality = np.full(n, np.nan)
-        confidence = np.full(n, np.nan)
-        deferred = np.zeros(n, dtype=bool)
-        retries = np.zeros(n, dtype=np.int32)
-        feats: List[np.ndarray] = []
-        feat_idx: List[int] = []
-        for i, r in enumerate(records):
-            arrival[i] = r.query.arrival_time
-            deadline[i] = r.query.deadline
-            stage[i] = STAGE_CODES[r.stage]
-            retries[i] = r.retries
-            if r.completion_time is not None:
-                completion[i] = r.completion_time
-            if r.quality is not None:
-                quality[i] = r.quality
-            if r.confidence is not None:
-                confidence[i] = r.confidence
-            deferred[i] = r.deferred
-            if r.features is not None:
-                feats.append(r.features)
-                feat_idx.append(i)
-        features = np.stack(feats) if feats else np.zeros((0, feature_dim))
+    def empty(cls, feature_dim: int) -> "ColumnStore":
+        """A store with no rows."""
+        return cls.from_rows([], [], feature_dim)
+
+    @classmethod
+    def from_rows(
+        cls, rows: List[tuple], features: List[np.ndarray], feature_dim: int
+    ) -> "ColumnStore":
+        """Build the columns from :data:`ROW_COLUMNS`-shaped row tuples.
+
+        One ``np.array`` call per column; ``features`` holds one vector per
+        completed row, in row order.
+        """
+        columns = zip(*rows) if rows else [()] * len(ROW_COLUMNS)
         return cls(
-            arrival=arrival,
-            deadline=deadline,
-            completion=completion,
-            stage=stage,
-            quality=quality,
-            confidence=confidence,
-            deferred=deferred,
-            retries=retries,
-            features=features,
-            feature_index=np.asarray(feat_idx, dtype=np.int64),
+            **{name: np.array(col, dtype=dt) for (name, dt), col in zip(ROW_COLUMNS, columns)},
+            features=np.stack(features) if features else np.zeros((0, feature_dim)),
         )
 
     @classmethod
     def concat(cls, stores: List["ColumnStore"], feature_dim: int) -> "ColumnStore":
-        """Concatenate stores row-wise (shard merge).
+        """Concatenate stores row-wise (collector chunks, shard merge).
 
-        ``feature_index`` entries are shifted by the preceding stores' row
-        counts so they keep addressing their own rows.  Concatenating the
-        per-epoch / per-region chunks a sharded run drains reproduces the
-        exact arrays a serial :meth:`from_records` pass would build — the
-        values are copied, never recomputed — which is what lets sharded
-        summaries stay byte-identical to serial ones.
+        Values are copied, never recomputed, so concatenating the per-epoch /
+        per-region chunks a sharded run ships reproduces the exact arrays of
+        a serial run — which is what lets sharded summaries stay
+        byte-identical to serial ones.
         """
         if not stores:
-            return cls.from_records([], feature_dim)
+            return cls.empty(feature_dim)
         if len(stores) == 1:
             return stores[0]
-        offsets = np.cumsum([0] + [len(store) for store in stores[:-1]])
-        features = [store.features for store in stores if len(store.features)]
         return cls(
-            arrival=np.concatenate([store.arrival for store in stores]),
-            deadline=np.concatenate([store.deadline for store in stores]),
-            completion=np.concatenate([store.completion for store in stores]),
-            stage=np.concatenate([store.stage for store in stores]),
-            quality=np.concatenate([store.quality for store in stores]),
-            confidence=np.concatenate([store.confidence for store in stores]),
-            deferred=np.concatenate([store.deferred for store in stores]),
-            retries=np.concatenate([store.retries for store in stores]),
-            features=np.concatenate(features) if features else np.zeros((0, feature_dim)),
-            feature_index=np.concatenate(
-                [store.feature_index + offset for store, offset in zip(stores, offsets)]
-            ),
+            **{
+                f.name: np.concatenate([getattr(store, f.name) for store in stores])
+                for f in fields(cls)
+            }
         )
 
     def __len__(self) -> int:
@@ -144,7 +127,7 @@ class ColumnStore:
     @property
     def dropped(self) -> np.ndarray:
         """Boolean mask of dropped queries."""
-        return self.stage == STAGE_CODES[QueryStage.DROPPED]
+        return self.stage == _DROPPED
 
     @property
     def completed(self) -> np.ndarray:
@@ -166,24 +149,29 @@ class ColumnStore:
 
 
 class ResultCollector:
-    """Sink of the data path: one :class:`QueryRecord` per query, plus
-    online accumulators maintained as queries finish.
+    """Sink of the data path: one column-store row per query, plus online
+    accumulators maintained as queries finish.
 
-    The record list keeps the fully general per-query view (the column store
-    is built from it lazily, in one vectorized pass, by the result); the
-    streaming accumulators (:class:`~repro.metrics.accumulators.GaussianStats`
-    over response features, :class:`~repro.metrics.accumulators.StreamingMoments`
+    ``complete``/``drop`` append one row tuple (layout :data:`ROW_COLUMNS`)
+    and, for a completed query, its image's feature vector.  :meth:`flush`
+    turns the pending rows into a :class:`ColumnStore` chunk and
+    :meth:`columns` returns every row so far as one store.  The streaming
+    accumulators (:class:`~repro.metrics.accumulators.GaussianStats` over
+    response features, :class:`~repro.metrics.accumulators.StreamingMoments`
     + :class:`~repro.metrics.accumulators.P2Quantile` over latency) expose
     O(1) live metrics mid-run.
     """
 
     def __init__(self, dataset: QueryDataset) -> None:
         self.dataset = dataset
-        self.records: List[QueryRecord] = []
+        self._feature_dim = dataset.real_features.shape[1]
+        self._rows: List[tuple] = []
+        self._features: List[np.ndarray] = []
+        self._chunks: List[ColumnStore] = []
         self._violations_window = 0
         self._completions_window = 0
         # Online accumulators for live metrics.
-        self.feature_stats = GaussianStats(dataset.real_features.shape[1])
+        self.feature_stats = GaussianStats(self._feature_dim)
         self.latency_moments = StreamingMoments()
         self.latency_p99 = P2Quantile(0.99)
         self._completed = 0
@@ -191,7 +179,7 @@ class ResultCollector:
         self._violated = 0
         self._heavy = 0
         #: query_id -> requeue count for queries currently being retried;
-        #: popped into the final record at completion/drop time.
+        #: popped into the query's row at completion/drop time.
         self._retries: Dict[int, int] = {}
 
     # ------------------------------------------------------------- data path
@@ -205,38 +193,48 @@ class ResultCollector:
         completion_time: float,
     ) -> None:
         """Record a completed query."""
-        record = QueryRecord(
-            query=query,
-            stage=stage,
-            completion_time=completion_time,
-            model_used=image.variant_name,
-            quality=image.quality,
-            features=image.features,
-            confidence=confidence,
-            deferred=deferred,
-            retries=self._retries.pop(query.query_id, 0),
+        deadline = query.deadline
+        self._rows.append(
+            (
+                query.query_id,
+                query.arrival_time,
+                deadline,
+                completion_time,
+                STAGE_CODES[stage],
+                image.variant_name,
+                image.quality,
+                _NAN if confidence is None else confidence,
+                deferred,
+                self._retries.pop(query.query_id, 0),
+            )
         )
-        self.records.append(record)
+        self._features.append(image.features)
         self._completions_window += 1
         self._completed += 1
         if stage == QueryStage.HEAVY:
             self._heavy += 1
-        if record.slo_violated:
+        if completion_time > deadline:
             self._violations_window += 1
             self._violated += 1
         latency = completion_time - query.arrival_time
         self.latency_moments.add(latency)
         self.latency_p99.add(latency)
-        if record.features is not None:
-            self.feature_stats.add(record.features)
+        self.feature_stats.add(image.features)
 
     def drop(self, query: Query) -> None:
         """Record a dropped query."""
-        self.records.append(
-            QueryRecord(
-                query=query,
-                stage=QueryStage.DROPPED,
-                retries=self._retries.pop(query.query_id, 0),
+        self._rows.append(
+            (
+                query.query_id,
+                query.arrival_time,
+                query.deadline,
+                _NAN,
+                _DROPPED,
+                None,
+                _NAN,
+                _NAN,
+                False,
+                self._retries.pop(query.query_id, 0),
             )
         )
         self._violations_window += 1
@@ -246,11 +244,31 @@ class ResultCollector:
         """Count one recovery requeue for ``query`` (fault-injection path).
 
         The query stays *open* — exactly one terminal ``complete``/``drop``
-        record is ever written for it, with the accumulated retry count, so
+        row is ever written for it, with the accumulated retry count, so
         retries never inflate query totals and latency spans first arrival to
         final completion.
         """
         self._retries[query.query_id] = self._retries.get(query.query_id, 0) + 1
+
+    # ----------------------------------------------------------- column view
+    def flush(self) -> None:
+        """Move the pending rows into one :class:`ColumnStore` chunk.
+
+        A sharded region calls this at every barrier, so per-query Python
+        tuples never outlive one epoch; only the compact chunks persist.
+        """
+        if self._rows:
+            chunk = ColumnStore.from_rows(self._rows, self._features, self._feature_dim)
+            self._chunks.append(chunk)
+            self._rows = []
+            self._features = []
+
+    def columns(self) -> ColumnStore:
+        """Every row recorded so far, as one store (idempotent)."""
+        self.flush()
+        merged = ColumnStore.concat(self._chunks, self._feature_dim)
+        self._chunks = [merged]
+        return merged
 
     # ----------------------------------------------------------- control path
     @property
@@ -313,12 +331,11 @@ class ResultCollector:
 class SimulationResult:
     """Everything measured during one serving simulation run.
 
-    All metrics read the cached column store (built lazily from ``records``
-    in one pass on first access), so repeated ``summary()`` / time-series
-    calls never re-scan the per-query objects.
+    Every metric reads the :class:`ColumnStore` ``cols`` (the collector's
+    :meth:`ResultCollector.columns`, or a shard merge of region stores).
     """
 
-    records: List[QueryRecord]
+    cols: ColumnStore
     dataset: QueryDataset
     slo: float
     duration: float
@@ -335,69 +352,11 @@ class SimulationResult:
     #: and autoscale transitions show up in the bill.
     fleet_cost: float = 0.0
 
-    # ------------------------------------------------------------ column view
-    @property
-    def cols(self) -> ColumnStore:
-        """The column store behind every metric (built once, lazily).
-
-        A non-field cached attribute (like ``completed_records``) so it never
-        participates in the dataclass constructor, ``replace()``, or ``__eq__``
-        — a stale store can't be injected alongside fresh records.
-        """
-        cached = getattr(self, "_columns", None)
-        if cached is None:
-            cached = ColumnStore.from_records(self.records, self.dataset.real_features.shape[1])
-            self._columns = cached
-        return cached
-
-    @classmethod
-    def from_columns(
-        cls,
-        cols: ColumnStore,
-        *,
-        dataset: QueryDataset,
-        slo: float,
-        duration: float,
-        control_history: Optional[List[ControlSnapshot]] = None,
-        allocator_solve_times: Optional[List[float]] = None,
-        system_name: str = "system",
-        replan_history: Optional[List[object]] = None,
-        fleet_cost: float = 0.0,
-    ) -> "SimulationResult":
-        """Build a result directly from a (merged) column store.
-
-        The sharded path ships columns, not ``QueryRecord`` objects, across
-        process boundaries; ``records`` is therefore empty here and every
-        metric reads the pre-built store.
-        """
-        result = cls(
-            records=[],
-            dataset=dataset,
-            slo=slo,
-            duration=duration,
-            control_history=list(control_history or []),
-            allocator_solve_times=list(allocator_solve_times or []),
-            system_name=system_name,
-            replan_history=list(replan_history or []),
-            fleet_cost=fleet_cost,
-        )
-        result._columns = cols
-        return result
-
     # ------------------------------------------------------------ accounting
     @property
     def total_queries(self) -> int:
         """Number of queries that entered the system."""
         return len(self.cols)
-
-    @property
-    def completed_records(self) -> List[QueryRecord]:
-        """Records of queries that received a response (cached)."""
-        cached = getattr(self, "_completed_records", None)
-        if cached is None:
-            cached = [r for r in self.records if not r.dropped]
-            self._completed_records = cached
-        return cached
 
     @property
     def dropped_count(self) -> int:
@@ -461,7 +420,7 @@ class SimulationResult:
         cols = self.cols
         if not len(cols.features):
             return np.zeros(0), np.zeros(0)
-        times = cols.completion[cols.feature_index]
+        times = cols.completion[cols.completed]
         return windowed_fid(
             times,
             cols.features,

@@ -164,28 +164,20 @@ class RegionResult:
 class RegionRuntime:
     """One region's event loop, driven epoch by epoch inside a shard.
 
-    Completed :class:`~repro.core.query.QueryRecord` objects are drained
-    into :class:`~repro.core.results.ColumnStore` chunks at every barrier,
-    so resident per-query state stays bounded by one epoch's completions —
-    that is what keeps million-query cells affordable.  Chunk concatenation
-    reproduces the serial ``from_records`` arrays exactly (values are
+    The collector flushes its pending rows into one
+    :class:`~repro.core.results.ColumnStore` chunk at every barrier, so
+    per-query Python objects never outlive one epoch — that is what keeps
+    million-query cells affordable.  The chunks concatenate, at finish,
+    into the exact arrays a serial run's collector builds (values are
     copied, never recomputed).
     """
 
     def __init__(self, system: ServingSimulation) -> None:
         self.system = system
         self.runtime: SystemRuntime = system.prepare()
-        self._feature_dim = system.dataset.real_features.shape[1]
-        self._chunks: List[ColumnStore] = []
         #: Wall-clock seconds spent inside ``advance`` (shard telemetry).
         self.advance_seconds = 0.0
         self.runtime.start()
-
-    def _drain_records(self) -> None:
-        records = self.runtime.collector.records
-        if records:
-            self._chunks.append(ColumnStore.from_records(records, self._feature_dim))
-            records.clear()
 
     def run_epoch(self, queries: QueryBatch, barrier: float) -> RegionStats:
         """Inject one epoch's routed arrivals, advance to the barrier.
@@ -198,7 +190,7 @@ class RegionRuntime:
         tick = time.perf_counter()
         self.runtime.advance(barrier)
         self.advance_seconds += time.perf_counter() - tick
-        self._drain_records()
+        self.runtime.collector.flush()
         return self.stats()
 
     def stats(self) -> RegionStats:
@@ -225,9 +217,8 @@ class RegionRuntime:
     def finish(self) -> RegionResult:
         """Fire finish hooks and package the region's complete output."""
         self.runtime.finish()
-        self._drain_records()
         return RegionResult(
-            cols=ColumnStore.concat(self._chunks, self._feature_dim),
+            cols=self.runtime.collector.columns(),
             control_history=list(self.runtime.controller.history),
             allocator_solve_times=list(self.runtime.controller.solve_times),
             replan_history=(
@@ -687,8 +678,8 @@ class ShardSupervisor:
         }
         merged_cost = sum(region_costs[name] for name in names)
         self.region_results = {
-            name: SimulationResult.from_columns(
-                result.cols,
+            name: SimulationResult(
+                cols=result.cols,
                 dataset=self.template.dataset,
                 slo=self.template.config.slo,
                 duration=horizon,
@@ -700,8 +691,8 @@ class ShardSupervisor:
             )
             for name, result in collected.items()
         }
-        return SimulationResult.from_columns(
-            merged_cols,
+        return SimulationResult(
+            cols=merged_cols,
             dataset=self.template.dataset,
             slo=self.template.config.slo,
             duration=horizon,

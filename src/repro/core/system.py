@@ -262,7 +262,7 @@ class SystemRuntime:
     def result(self, duration: float) -> SimulationResult:
         """Package everything measured so far as a :class:`SimulationResult`."""
         return SimulationResult(
-            records=self.collector.records,
+            cols=self.collector.columns(),
             dataset=self.dataset,
             slo=self.config.slo,
             duration=duration,

@@ -3,12 +3,14 @@
 The MILP resource allocator needs to know which fraction of queries the
 cascade defers to the heavyweight model at a given confidence threshold
 ``t`` (Equation 3 in the paper).  ``f(t)`` is initialised by offline
-profiling on a calibration set and updated online as thresholds change.
+profiling on a calibration set and corrected online as thresholds change;
+each correction is a new (immutable) profile, so systems built on one shared
+profile never see each other's corrections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,14 +21,15 @@ from repro.models.generation import ImageGenerator
 from repro.models.variants import ModelVariant
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeferralProfile:
     """Empirical mapping from confidence threshold to deferral fraction.
 
     The profile stores the sorted calibration confidences; ``fraction(t)`` is
     the empirical probability that a confidence falls below ``t`` (those
     queries defer to the heavy model), which is monotonically non-decreasing
-    in ``t`` by construction.
+    in ``t`` by construction.  Frozen: :meth:`update_online` returns the
+    corrected profile instead of mutating this one.
     """
 
     confidences: np.ndarray
@@ -39,7 +42,7 @@ class DeferralProfile:
             raise ValueError("confidences must be a non-empty 1-D array")
         if conf.min() < 0 or conf.max() > 1:
             raise ValueError("confidences must lie in [0, 1]")
-        self.confidences = np.sort(conf)
+        object.__setattr__(self, "confidences", np.sort(conf))
 
     # ----------------------------------------------------------------- f(t)
     def fraction(self, threshold: float) -> float:
@@ -76,19 +79,23 @@ class DeferralProfile:
         return float(self.confidences[k])
 
     # --------------------------------------------------------------- online
-    def update_online(self, threshold: float, observed_fraction: float) -> None:
-        """Blend an observed deferral fraction into the profile (EWMA).
+    def update_online(self, threshold: float, observed_fraction: float) -> "DeferralProfile":
+        """The profile with an observed deferral fraction blended in (EWMA).
 
         The Controller calls this with the deferral rate it actually measured
         at the currently deployed threshold, correcting for drift between the
-        calibration prompts and the live workload.
+        calibration prompts and the live workload, and keeps the returned
+        profile; ``self`` is left unchanged.
         """
         if not 0.0 <= observed_fraction <= 1.0:
             raise ValueError("observed_fraction must lie in [0, 1]")
         predicted = self.fraction(threshold) - self._online_correction
         error = observed_fraction - predicted
-        self._online_correction = (
-            (1 - self.ewma_alpha) * self._online_correction + self.ewma_alpha * error
+        return replace(
+            self,
+            _online_correction=(
+                (1 - self.ewma_alpha) * self._online_correction + self.ewma_alpha * error
+            ),
         )
 
     # ------------------------------------------------------------ profiling

@@ -1,11 +1,11 @@
 """Streaming (online, mergeable) accumulators for the metrics pipeline.
 
-Every figure in the paper is a reduction over per-query records, and the grid
+Every figure in the paper is a reduction over per-query outcomes, and the grid
 runner executes hundreds of cells per suite — so the measurement layer must
 scale with the simulated system.  The accumulators here let the result
-collector maintain sufficient statistics *during* the run (O(1) per record)
+collector maintain sufficient statistics *during* the run (O(1) per query)
 and let the windowed-FID path compute per-window Gaussian fits from cumulative
-sums instead of re-scanning records:
+sums instead of re-scanning the per-query columns:
 
 * :class:`GaussianStats` — count / feature-sum / outer-product-sum sufficient
   statistics of a multivariate Gaussian.  Mergeable and associative, so

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.demand import DemandEstimator
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query
 from repro.core.queueing import LittlesLawModel, TwoXExecutionModel
 from repro.core.repository import ModelRepository
 from repro.discriminators.heuristics import OracleDiscriminator
@@ -22,17 +22,6 @@ def test_query_deadline_and_validation():
         Query(query_id=0, arrival_time=0.0, prompt="", difficulty=1.3, slo=5.0)
     with pytest.raises(ValueError):
         Query(query_id=0, arrival_time=0.0, prompt="", difficulty=0.3, slo=0.0)
-
-
-def test_query_record_latency_and_violation():
-    q = Query(query_id=0, arrival_time=1.0, prompt="x", difficulty=0.5, slo=2.0)
-    on_time = QueryRecord(query=q, stage=QueryStage.LIGHT, completion_time=2.5)
-    late = QueryRecord(query=q, stage=QueryStage.HEAVY, completion_time=4.0)
-    dropped = QueryRecord(query=q, stage=QueryStage.DROPPED)
-    assert on_time.latency == pytest.approx(1.5)
-    assert not on_time.slo_violated
-    assert late.slo_violated
-    assert dropped.dropped and dropped.slo_violated and dropped.latency is None
 
 
 # ---------------------------------------------------------------------- demand

@@ -81,9 +81,12 @@ def test_deferral_profile_online_update_shifts_fraction(trained_discriminator, c
     )
     base = profile.fraction(0.5)
     # Observe a consistently higher deferral rate than predicted at t=0.5.
+    corrected = profile
     for _ in range(5):
-        profile.update_online(0.5, min(base + 0.2, 1.0))
-    assert profile.fraction(0.5) > base
+        corrected = corrected.update_online(0.5, min(base + 0.2, 1.0))
+    assert corrected.fraction(0.5) > base
+    # The profile is immutable: corrections never leak into the original.
+    assert profile.fraction(0.5) == base
     with pytest.raises(ValueError):
         profile.update_online(0.5, 1.5)
 

@@ -3,15 +3,26 @@
 Every vectorized path (columnar ``summary()``, ``violation_timeseries``,
 streaming ``windowed_fid``, moments-cached FID) is pinned against a
 brute-force per-record reimplementation of the legacy computation on
-randomized runs, to ~1e-9.
+randomized runs, to ~1e-9.  The collector's column store itself is pinned
+array for array against the per-record oracle (``result_oracle``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from result_oracle import (
+    Record,
+    assert_columns_equal,
+    collect,
+    feed,
+    from_records,
+    random_records,
+)
 
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.core.results import ColumnStore, ResultCollector, SimulationResult
 from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
 from repro.metrics.fid import (
@@ -23,7 +34,6 @@ from repro.metrics.fid import (
     windowed_fid_reference,
 )
 from repro.models.dataset import make_coco_like
-from repro.models.generation import GeneratedImage
 
 DIM = 8
 SLO = 2.0
@@ -37,35 +47,17 @@ DURATION = 120.0
 
 def _random_records(seed: int, n: int = 400):
     """A randomized record list with drops, violations, and both stages."""
-    rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        arrival = float(rng.uniform(0.0, DURATION))
-        query = Query(query_id=i, arrival_time=arrival, prompt="p", difficulty=0.5, slo=SLO)
-        if rng.random() < 0.15:
-            records.append(QueryRecord(query=query, stage=QueryStage.DROPPED))
-            continue
-        stage = QueryStage.HEAVY if rng.random() < 0.4 else QueryStage.LIGHT
-        records.append(
-            QueryRecord(
-                query=query,
-                stage=stage,
-                completion_time=arrival + float(rng.exponential(1.2)),
-                model_used="m",
-                quality=float(rng.uniform(0.0, 1.0)),
-                features=rng.normal(size=DIM),
-                confidence=float(rng.uniform()) if rng.random() < 0.8 else None,
-                deferred=stage == QueryStage.HEAVY,
-            )
-        )
-    return records
+    return random_records(np.random.default_rng(seed), n, DIM, duration=DURATION, slo=SLO)
 
 
-def _result(seed: int, n: int = 400) -> SimulationResult:
+def _run(seed: int, n: int = 400):
+    """(records, result): a randomized run fed through the collector."""
     dataset = make_coco_like(200, seed=seed, feature_dim=DIM)
-    return SimulationResult(
-        records=_random_records(seed, n), dataset=dataset, slo=SLO, duration=DURATION
+    records = _random_records(seed, n)
+    result = SimulationResult(
+        cols=collect(dataset, records), dataset=dataset, slo=SLO, duration=DURATION
     )
+    return records, result
 
 
 # --------------------------------------------------------------------------
@@ -73,8 +65,7 @@ def _result(seed: int, n: int = 400) -> SimulationResult:
 # --------------------------------------------------------------------------
 
 
-def _ref_summary(result: SimulationResult) -> dict:
-    records = result.records
+def _ref_summary(records, result: SimulationResult) -> dict:
     completed = [r for r in records if not r.dropped]
     dropped = sum(1 for r in records if r.dropped)
     violated = sum(1 for r in completed if r.slo_violated)
@@ -99,12 +90,12 @@ def _ref_summary(result: SimulationResult) -> dict:
     }
 
 
-def _ref_violation_timeseries(result: SimulationResult, window: float):
+def _ref_violation_timeseries(records, result: SimulationResult, window: float):
     edges = np.arange(0.0, result.duration + window, window)
     centers = (edges[:-1] + edges[1:]) / 2.0
     ratios = np.zeros(len(centers))
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        in_window = [r for r in result.records if lo <= r.query.arrival_time < hi]
+        in_window = [r for r in records if lo <= r.query.arrival_time < hi]
         if not in_window:
             continue
         ratios[i] = sum(1 for r in in_window if r.slo_violated) / len(in_window)
@@ -118,9 +109,9 @@ def _ref_violation_timeseries(result: SimulationResult, window: float):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_columnar_summary_matches_brute_force(seed):
-    result = _result(seed)
+    records, result = _run(seed)
     summary = result.summary()
-    reference = _ref_summary(result)
+    reference = _ref_summary(records, result)
     assert set(summary) == set(reference)
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
@@ -129,17 +120,17 @@ def test_columnar_summary_matches_brute_force(seed):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("window", [7.5, 20.0, 60.0])
 def test_columnar_violation_timeseries_matches_brute_force(seed, window):
-    result = _result(seed)
+    records, result = _run(seed)
     centers, ratios = result.violation_timeseries(window)
-    ref_centers, ref_ratios = _ref_violation_timeseries(result, window)
+    ref_centers, ref_ratios = _ref_violation_timeseries(records, result, window)
     np.testing.assert_allclose(centers, ref_centers)
     np.testing.assert_allclose(ratios, ref_ratios, atol=1e-12)
 
 
 def test_columnar_demand_timeseries_matches_histogram():
-    result = _result(0)
+    records, result = _run(0)
     centers, demand = result.demand_timeseries(20.0)
-    arrivals = np.array([r.query.arrival_time for r in result.records])
+    arrivals = np.array([r.query.arrival_time for r in records])
     edges = np.arange(0.0, result.duration + 20.0, 20.0)
     counts, _ = np.histogram(arrivals, bins=edges)
     np.testing.assert_allclose(demand, counts / 20.0)
@@ -147,9 +138,9 @@ def test_columnar_demand_timeseries_matches_histogram():
 
 
 def test_columnar_latency_stats_match_per_record_scan():
-    result = _result(1)
+    records, result = _run(1)
     stats = result.latency_stats()
-    latencies = [r.latency for r in result.completed_records if r.latency is not None]
+    latencies = [r.latency for r in records if not r.dropped and r.latency is not None]
     assert stats.count == len(latencies)
     assert stats.mean == pytest.approx(np.mean(latencies), rel=1e-12)
     assert stats.p99 == pytest.approx(np.percentile(latencies, 99), rel=1e-12)
@@ -158,23 +149,25 @@ def test_columnar_latency_stats_match_per_record_scan():
 
 def test_column_store_from_records_handles_empty_and_all_dropped():
     dataset = make_coco_like(50, seed=0, feature_dim=DIM)
-    empty = SimulationResult(records=[], dataset=dataset, slo=SLO, duration=10.0)
+    assert_columns_equal(ResultCollector(dataset).columns(), from_records([], DIM))
+    assert_columns_equal(ColumnStore.empty(DIM), from_records([], DIM))
+    empty = SimulationResult(
+        cols=ResultCollector(dataset).columns(), dataset=dataset, slo=SLO, duration=10.0
+    )
     assert empty.total_queries == 0
     assert empty.dropped_count == 0
     assert empty.slo_violation_ratio == 0.0
     assert np.isnan(empty.fid())
-    all_dropped = SimulationResult(
-        records=[
-            QueryRecord(
-                query=Query(query_id=i, arrival_time=1.0, prompt="p", difficulty=0.5, slo=SLO),
-                stage=QueryStage.DROPPED,
-            )
-            for i in range(3)
-        ],
-        dataset=dataset,
-        slo=SLO,
-        duration=10.0,
-    )
+    dropped_records = [
+        Record(
+            query=Query(query_id=i, arrival_time=1.0, prompt="p", difficulty=0.5, slo=SLO),
+            stage=QueryStage.DROPPED,
+        )
+        for i in range(3)
+    ]
+    cols = collect(dataset, dropped_records)
+    assert_columns_equal(cols, from_records(dropped_records, DIM))
+    all_dropped = SimulationResult(cols=cols, dataset=dataset, slo=SLO, duration=10.0)
     assert all_dropped.slo_violation_ratio == 1.0
     assert all_dropped.deferral_rate == 0.0
     assert all_dropped.latency_stats().count == 0
@@ -186,30 +179,18 @@ def test_column_store_from_records_handles_empty_and_all_dropped():
 
 
 def test_collector_driven_result_matches_brute_force():
-    """Records produced through the collector's data path yield the same
+    """Rows produced through the collector's data path yield the same
     columnar metrics as the per-record reference computation."""
     dataset = make_coco_like(200, seed=3, feature_dim=DIM)
     records = _random_records(3)
     collector = ResultCollector(dataset)
     for r in records:
-        if r.dropped:
-            collector.drop(r.query)
-        else:
-            image = GeneratedImage(
-                query_id=r.query.query_id,
-                variant_name=r.model_used,
-                quality=r.quality,
-                features=r.features,
-            )
-            collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
-    result = SimulationResult(
-        records=collector.records, dataset=dataset, slo=SLO, duration=DURATION
-    )
-    # The lazily-built store is cached on first access.
+        feed(collector, r)
+    result = SimulationResult(cols=collector.columns(), dataset=dataset, slo=SLO, duration=DURATION)
     assert result.cols is result.cols
     assert isinstance(result.cols, ColumnStore)
     summary = result.summary()
-    reference = _ref_summary(result)
+    reference = _ref_summary(records, result)
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
 
@@ -219,19 +200,10 @@ def test_collector_running_summary_tracks_final_summary():
     records = _random_records(4)
     collector = ResultCollector(dataset)
     for r in records:
-        if r.dropped:
-            collector.drop(r.query)
-        else:
-            image = GeneratedImage(
-                query_id=r.query.query_id,
-                variant_name=r.model_used,
-                quality=r.quality,
-                features=r.features,
-            )
-            collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
+        feed(collector, r)
     live = collector.running_summary()
     final = SimulationResult(
-        records=collector.records, dataset=dataset, slo=SLO, duration=DURATION
+        cols=collector.columns(), dataset=dataset, slo=SLO, duration=DURATION
     ).summary()
     for key in ("total_queries", "completed", "dropped", "slo_violation_ratio", "deferral_rate"):
         assert live[key] == pytest.approx(final[key], rel=1e-12), key
@@ -240,6 +212,52 @@ def test_collector_running_summary_tracks_final_summary():
     assert live["fid"] == pytest.approx(final["fid"], rel=1e-6, abs=1e-6)
     # P-squared p99 is an estimate, not exact — just sanity-bound it.
     assert live["p99_latency"] >= final["p50_latency"]
+
+
+# One operation on the collector: ("retry", i) requeues query i, ("end", i)
+# writes query i's terminal row, ("flush",) cuts a chunk.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("retry"), st.integers(0, 29)),
+        st.tuples(st.just("end"), st.integers(0, 29)),
+        st.just(("flush",)),
+    ),
+    max_size=80,
+)
+
+
+@given(ops=_OPS, seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_collector_columns_match_record_oracle(ops, seed):
+    """Random complete/drop/retry sequences with flushes at random points:
+    ``columns()`` equals the per-record oracle array for array (dtypes, NaN
+    positions and retries included), and a second call returns equal arrays."""
+    dataset = make_coco_like(50, seed=0, feature_dim=DIM)
+    pool = random_records(np.random.default_rng(seed), 30, DIM, duration=DURATION, slo=SLO)
+    collector = ResultCollector(dataset)
+    retries = [0] * len(pool)
+    ended = set()
+    expected = []
+    for op in ops:
+        if op[0] == "flush":
+            collector.flush()
+            continue
+        i = op[1]
+        if i in ended:
+            continue
+        if op[0] == "retry":
+            collector.record_retry(pool[i].query)
+            retries[i] += 1
+            continue
+        ended.add(i)
+        # Pool records carry no retries, so ``feed`` replays none of its own.
+        feed(collector, pool[i])
+        expected.append(replace(pool[i], retries=retries[i]))
+    cols = collector.columns()
+    oracle = from_records(expected, DIM)
+    assert_columns_equal(cols, oracle)
+    assert_columns_equal(collector.columns(), oracle)
+    assert collector.completed_count + collector.dropped_count == len(expected)
 
 
 # --------------------------------------------------------------------------
@@ -285,9 +303,9 @@ def test_streaming_windowed_fid_accepts_unsorted_timestamps():
 
 
 def test_fid_timeseries_uses_cached_real_moments():
-    result = _result(2)
+    records, result = _run(2)
     centers, values = result.fid_timeseries(window=20.0)
-    completed = [r for r in result.completed_records if r.features is not None]
+    completed = [r for r in records if not r.dropped and r.features is not None]
     times = np.array([r.completion_time for r in completed])
     feats = np.stack([r.features for r in completed])
     ref_centers, ref_values = windowed_fid_reference(

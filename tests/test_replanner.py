@@ -273,6 +273,40 @@ def test_replanned_run_is_deterministic(coco_dataset, trained_discriminator, def
     assert decisions_a == decisions_b
 
 
+def test_shared_deferral_profile_is_isolated_across_systems(
+    coco_dataset, trained_discriminator, deferral_profile
+):
+    """Systems built on one shared profile never see each other's online
+    deferral corrections: running A, B, A gives A the same summary twice."""
+    grid = np.linspace(0.0, 1.0, 21)
+    before = deferral_profile.fractions(grid)
+
+    def run(kind, qps, seed):
+        system = build_diffserve_system(
+            "sdturbo",
+            fleet=FleetSpec.homogeneous(4),
+            dataset=coco_dataset,
+            discriminator=trained_discriminator,
+            deferral_profile=deferral_profile,
+            seed=seed,
+            replan_epoch=2.0,
+            replan_policy="periodic",
+        )
+        workload = make_workload(kind, duration=24.0, qps=qps, qps_range=(2.0, 8.0), seed=seed)
+        system.initial_demand = workload.mean_rate()
+        result = system.run(workload.sample(RandomStreams(seed)))
+        return system, json.dumps(result.summary(), sort_keys=True)
+
+    system_a, first = run("flash-crowd", 4.0, 0)
+    # A's controller did correct its profile online, on its own copy.
+    assert system_a.policy.allocator.deferral_profile is not deferral_profile
+    _, other = run("static", 6.0, 1)
+    _, again = run("flash-crowd", 4.0, 0)
+    assert first == again
+    assert other != first
+    np.testing.assert_array_equal(deferral_profile.fractions(grid), before)
+
+
 def test_observation_window_covers_replan_epochs_longer_than_control_period(
     coco_dataset, trained_discriminator, deferral_profile
 ):

@@ -8,6 +8,7 @@ summaries.  The determinism tests here are the gate; they carry an
 
 import numpy as np
 import pytest
+from result_oracle import assert_columns_equal, feed, from_records, random_records
 
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.core.geo import (
@@ -19,7 +20,7 @@ from repro.core.geo import (
     parse_geo,
     sample_origins,
 )
-from repro.core.results import ColumnStore
+from repro.core.results import ColumnStore, ResultCollector
 from repro.core.sharding import (
     ShardSupervisor,
     build_region_systems,
@@ -28,6 +29,7 @@ from repro.core.sharding import (
     run_sharded,
 )
 from repro.core.system import build_diffserve_system
+from repro.models.dataset import make_coco_like
 from repro.runner.executor import canonical_summaries_json
 from repro.workloads import make_workload
 
@@ -269,59 +271,38 @@ def test_sample_origins_deterministic_and_weighted():
 
 
 # -------------------------------------------------------------- column merging
-def _random_records(rng, n, start_id=0):
-    from repro.core.query import Query, QueryRecord, QueryStage
-
-    records = []
-    for i in range(n):
-        query = Query(
-            query_id=start_id + i,
-            arrival_time=float(rng.uniform(0, 100)),
-            prompt=f"p{start_id + i}",
-            difficulty=float(rng.uniform(0, 1)),
-            slo=4.0,
-        )
-        dropped = bool(rng.uniform() < 0.2)
-        stage = (
-            QueryStage.DROPPED
-            if dropped
-            else (QueryStage.LIGHT if rng.uniform() < 0.7 else QueryStage.HEAVY)
-        )
-        records.append(
-            QueryRecord(
-                query=query,
-                stage=stage,
-                completion_time=(
-                    None if dropped else query.arrival_time + float(rng.uniform(0.1, 3.0))
-                ),
-                quality=None if dropped else float(rng.uniform(0, 1)),
-                confidence=float(rng.uniform(0, 1)),
-                deferred=stage == QueryStage.HEAVY,
-                features=None if dropped else rng.normal(size=4),
-            )
-        )
-    return records
-
-
 def test_column_store_concat_matches_from_records():
     rng = np.random.default_rng(5)
-    chunks = [_random_records(rng, n, start_id=s) for n, s in ((7, 0), (0, 7), (13, 7), (4, 20))]
-    whole = ColumnStore.from_records([r for chunk in chunks for r in chunk], 4)
-    merged = ColumnStore.concat([ColumnStore.from_records(c, 4) for c in chunks], 4)
+    chunks = [
+        random_records(rng, n, 4, start_id=s, duration=100.0, slo=4.0, drop_rate=0.2)
+        for n, s in ((7, 0), (0, 7), (13, 7), (4, 20))
+    ]
+    whole = from_records([r for chunk in chunks for r in chunk], 4)
+    merged = ColumnStore.concat([from_records(c, 4) for c in chunks], 4)
     assert len(merged) == len(whole)
     for column in ("arrival", "deadline", "completion", "quality", "confidence"):
         assert np.array_equal(getattr(merged, column), getattr(whole, column), equal_nan=True)
     assert np.array_equal(merged.stage, whole.stage)
     assert np.array_equal(merged.deferred, whole.deferred)
-    assert np.array_equal(merged.feature_index, whole.feature_index)
+    assert np.array_equal(merged.query_id, whole.query_id)
+    assert np.array_equal(merged.variant, whole.variant)
     assert np.array_equal(merged.features, whole.features)
+    # A collector flushed at the same chunk boundaries builds the same store.
+    dataset = make_coco_like(50, seed=0, feature_dim=4)
+    collector = ResultCollector(dataset)
+    for chunk in chunks:
+        for record in chunk:
+            feed(collector, record)
+        collector.flush()
+    assert_columns_equal(collector.columns(), whole)
 
 
 def test_column_store_concat_empty_and_single():
     empty = ColumnStore.concat([], 4)
     assert len(empty) == 0 and empty.features.shape == (0, 4)
+    assert_columns_equal(empty, ColumnStore.empty(4))
     rng = np.random.default_rng(6)
-    one = ColumnStore.from_records(_random_records(rng, 3), 4)
+    one = from_records(random_records(rng, 3, 4, duration=100.0, slo=4.0), 4)
     assert ColumnStore.concat([one], 4) is one
 
 

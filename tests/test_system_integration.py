@@ -11,6 +11,7 @@ from repro.baselines import (
 from repro.baselines.registry import BASELINE_TABLE, baseline_table_rows, render_baseline_table
 from repro.core.config import FleetSpec
 from repro.core.query import QueryStage
+from repro.core.results import STAGE_CODES
 from repro.core.system import build_diffserve_system
 from repro.traces.azure import azure_functions_like_rate
 from repro.traces.base import ArrivalTrace
@@ -50,7 +51,7 @@ def trained_discriminator_module(request):
 def test_diffserve_serves_every_query(diffserve_result, short_trace):
     _, trace = short_trace
     assert diffserve_result.total_queries == len(trace)
-    completed = len(diffserve_result.completed_records)
+    completed = int(diffserve_result.cols.completed.sum())
     assert completed + diffserve_result.dropped_count == len(trace)
     assert completed > 0.9 * len(trace)
 
@@ -60,8 +61,9 @@ def test_diffserve_keeps_slo_violations_low(diffserve_result):
 
 
 def test_diffserve_uses_both_models(diffserve_result):
-    stages = {r.stage for r in diffserve_result.completed_records}
-    assert QueryStage.LIGHT in stages and QueryStage.HEAVY in stages
+    cols = diffserve_result.cols
+    stages = set(cols.stage[cols.completed].tolist())
+    assert STAGE_CODES[QueryStage.LIGHT] in stages and STAGE_CODES[QueryStage.HEAVY] in stages
     assert 0.05 < diffserve_result.deferral_rate < 0.95
 
 
@@ -116,14 +118,14 @@ def test_clipper_light_never_defers(coco_dataset_module, short_trace):
     result = system.run(trace)
     assert result.deferral_rate == 0.0
     assert result.slo_violation_ratio < 0.02
-    assert all(r.model_used == "sd-turbo" for r in result.completed_records)
+    assert all(v == "sd-turbo" for v in result.cols.variant[result.cols.completed])
 
 
 def test_clipper_heavy_overloads_at_peak(coco_dataset_module, short_trace):
     _, trace = short_trace
     system = build_clipper_system("sdturbo", "heavy", dataset=coco_dataset_module)
     result = system.run(trace)
-    assert all(r.model_used == "sd-v1.5" for r in result.completed_records)
+    assert all(v == "sd-v1.5" for v in result.cols.variant[result.cols.completed])
     assert result.slo_violation_ratio > 0.2
 
 
@@ -140,7 +142,7 @@ def test_proteus_uses_multiple_variants_query_agnostically(coco_dataset_module, 
     _, trace = short_trace
     system = build_proteus_system("sdturbo", dataset=coco_dataset_module)
     result = system.run(trace)
-    used = {r.model_used for r in result.completed_records}
+    used = set(result.cols.variant[result.cols.completed])
     assert len(used) >= 2  # light + a more accurate variant
     assert result.slo_violation_ratio < 0.15
 
